@@ -13,18 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import asdict, dataclass
 
 from .errors import InputError, LimitError
 from .signature import validate_k
-from .oracle import (
-    ENUMERATE_DEFAULT_LIMIT,
-    RECURSIVE_DEFAULT_LIMIT,
-    OracleConfig,
-    kraft_check,
-    run_oracle,
-)
+from .oracle import OracleConfig, run_oracle, sweep
 from .solver import Decision, MergeRecord, SolverConfig, decide, trace_levels
 from .treebuild import export_tree, reconstruct, validate
 
@@ -81,7 +74,6 @@ def _load_instance(args: argparse.Namespace) -> InstanceSpec:
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         prune_level_domination=not getattr(args, "no_prune", False),
-        use_fast_generator=not getattr(args, "naive_generator", False),
         max_level_size=getattr(args, "max_level_size", None),
         max_seconds=getattr(args, "max_seconds", None),
     )
@@ -100,7 +92,7 @@ def _record_dict(rec: MergeRecord) -> dict:
 
 
 def _stats_dict(decision: Decision) -> dict:
-    out = decision.stats.as_dict()
+    out = asdict(decision.stats)
     del out["wall_time_s"]  # stdout must be reproducible byte for byte
     return out
 
@@ -139,7 +131,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         return EXIT_UNREALIZABLE
     tree = reconstruct(spec.k, spec.depths, decision.witness_chain)
     report = validate(spec.k, tree, spec.depths)
-    assert report.valid, report.violations
+    if not report.valid:
+        raise AssertionError(f"built tree fails validation: {report.violations}")
     _emit(export_tree(tree, args.format) + ("\n" if args.format == "json" else ""), args.out)
     return EXIT_REALIZABLE
 
@@ -220,32 +213,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .oracle import oracle_enumerate_trees, oracle_recursive
-
-    ks = [int(p) for p in args.ks.split(",")]
+    try:
+        ks = [validate_k(int(p)) for p in args.ks.split(",")]
+    except ValueError:
+        raise InputError(f"--ks must list integers k >= 2, got {args.ks!r}") from None
     checked = 0
-    for k in ks:
-        for n in range(1, args.max_n + 1):
-            for depths in combinations_with_replacement(range(args.max_value + 1), n):
-                verdicts: dict[str, bool] = {}
-                try:
-                    verdicts["solver"] = decide(k, depths).realizable
-                    verdicts["solver_noprune"] = decide(
-                        k, depths, SolverConfig(prune_level_domination=False)
-                    ).realizable
-                    if n <= RECURSIVE_DEFAULT_LIMIT:
-                        verdicts["recursive"] = oracle_recursive(k, depths)
-                    if n <= ENUMERATE_DEFAULT_LIMIT:
-                        verdicts["enumerate"] = oracle_enumerate_trees(k, depths)
-                    if k == 2:
-                        verdicts["kraft"] = kraft_check(depths)
-                except AssertionError as exc:
-                    print(f"FAIL: internal bound violated on k={k} depths={list(depths)}: {exc}")
-                    return EXIT_DISAGREE
-                if len(set(verdicts.values())) > 1:
-                    print(f"FAIL: disagreement on k={k} depths={list(depths)}: {verdicts}")
-                    return EXIT_DISAGREE
-                checked += 1
+    for k, depths, verdicts in sweep(ks, args.max_n, args.max_value):
+        if isinstance(verdicts, AssertionError):
+            print(f"FAIL: internal bound violated on k={k} depths={list(depths)}: {verdicts}")
+            return EXIT_DISAGREE
+        if len(set(verdicts.values())) > 1:
+            print(f"FAIL: disagreement on k={k} depths={list(depths)}: {verdicts}")
+            return EXIT_DISAGREE
+        checked += 1
     print(f"selftest passed: {checked} instances, ks={ks}, "
           f"n<={args.max_n}, values<={args.max_value}")
     return EXIT_REALIZABLE
@@ -262,8 +242,6 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-prune", action="store_true",
                      help="keep dominated signatures in every level")
-    sub.add_argument("--naive-generator", action="store_true",
-                     help="enumerate all merge pairs instead of merge-value classes")
     sub.add_argument("--max-level-size", type=int, default=None)
     sub.add_argument("--max-seconds", type=float, default=None)
 

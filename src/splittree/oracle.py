@@ -10,10 +10,12 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Iterator
 
 from .errors import InputError, LimitError
 from .signature import canonicalize, omega, validate_k
+from .solver import SolverConfig, decide
 
 RECURSIVE_DEFAULT_LIMIT = 8
 ENUMERATE_DEFAULT_LIMIT = 5
@@ -125,8 +127,9 @@ def kraft_check(d) -> bool:
     sig = canonicalize(d)
     if sig.min_value < 0:
         raise InputError("depth bounds must be >= 0")
-    top = sig.max_value
-    return sum(2 ** (top - v) for v in sig) <= 2**top
+    cap = len(sig) - 1  # exact: no leaf of an n-leaf tree lies deeper than n - 1
+    top = min(sig.max_value, cap)
+    return sum(2 ** (top - min(v, cap)) for v in sig) <= 2**top
 
 
 def run_oracle(k: int, d, config: OracleConfig | None = None) -> bool:
@@ -142,3 +145,33 @@ def run_oracle(k: int, d, config: OracleConfig | None = None) -> bool:
             raise InputError("the feasibility-sum oracle only applies to k = 2")
         return kraft_check(d)
     raise InputError(f"unknown oracle method {config.method!r}")
+
+
+def sweep(
+    ks: Iterable[int], max_n: int, max_value: int
+) -> Iterator[tuple[int, tuple[int, ...], dict[str, bool] | AssertionError]]:
+    """Solver (pruning on and off) vs every oracle within its default limit
+    on each multiset of 1..``max_n`` bounds in 0..``max_value``, per k in ``ks``.
+
+    Yields ``(k, depths, verdicts)``; an AssertionError raised inside takes
+    the place of the verdicts, and the sweep goes on.
+    """
+    no_prune = SolverConfig(prune_level_domination=False)
+    for k in ks:
+        for n in range(1, max_n + 1):
+            for depths in combinations_with_replacement(range(max_value + 1), n):
+                try:
+                    verdicts = {
+                        "solver": decide(k, depths).realizable,
+                        "solver_noprune": decide(k, depths, no_prune).realizable,
+                    }
+                    if n <= RECURSIVE_DEFAULT_LIMIT:
+                        verdicts["recursive"] = oracle_recursive(k, depths)
+                    if n <= ENUMERATE_DEFAULT_LIMIT:
+                        verdicts["enumerate"] = oracle_enumerate_trees(k, depths)
+                    if k == 2:
+                        verdicts["kraft"] = kraft_check(depths)
+                except AssertionError as exc:
+                    yield k, depths, exc
+                    continue
+                yield k, depths, verdicts

@@ -93,26 +93,26 @@ def truncate(sig: LeafSignature, cap: int) -> LeafSignature:
     return LeafSignature(min(v, cap) for v in sig)
 
 
-def reduction_cap(k: int, out_len: int, w: int) -> int:
-    """Truncation bound applied to a reduced signature of length ``out_len``
-    whose inserted merge value is ``w``.
+def _reduce(k: int, a: LeafSignature, i: int, j: int) -> tuple[int, int, LeafSignature]:
+    """``merge_reduce`` without input checks, as ``(inserted, cap, child)``.
 
-    Values are cut to w + k - 1 (no leaf can sit more than k-1 below the
-    deepest internal vertex).  A singleton result is additionally cut to 0:
-    a one-leaf tree has its leaf at the root, so any non-negative bound is
-    equivalent to 0.
+    Values are cut to cap = w + k - 1 for merge value w (no leaf sits more
+    than k-1 below the deepest internal vertex), and a singleton child to 0
+    (its leaf is the root).  ``inserted`` is w cut to the cap.
     """
-    cap = w + k - 1
-    if out_len == 1:
-        cap = min(cap, 0)
-    return cap
+    w = omega(k, a[i], a[j])
+    cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)
+    inserted = min(w, cap)
+    rest = [min(v, cap) for p, v in enumerate(a) if p != i and p != j]
+    rest.append(inserted)
+    return inserted, cap, LeafSignature(rest)
 
 
 def merge_reduce(k: int, a: LeafSignature, i: int, j: int) -> LeafSignature:
     """One reduction step: merge the bounds at positions ``i`` and ``j``.
 
     Removes a[i] and a[j], inserts omega(k, a[i], a[j]), and truncates the
-    result at reduction_cap.  The output is canonical and one shorter.
+    result as ``_reduce`` describes.  The output is canonical and one shorter.
     """
     validate_k(k)
     n = len(a)
@@ -120,8 +120,4 @@ def merge_reduce(k: int, a: LeafSignature, i: int, j: int) -> LeafSignature:
         raise InputError("merge_reduce needs a signature of length >= 2")
     if i == j or not (0 <= i < n) or not (0 <= j < n):
         raise InputError(f"invalid merge positions ({i}, {j}) for length {n}")
-    w = omega(k, a[i], a[j])
-    cap = reduction_cap(k, n - 1, w)
-    rest = [min(v, cap) for p, v in enumerate(a) if p != i and p != j]
-    rest.append(min(w, cap))
-    return LeafSignature(rest)
+    return _reduce(k, a, i, j)[2]

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import InputError, LimitError
 from .signature import (
     LeafSignature,
+    _reduce,
     canonicalize,
     is_dominated,
     omega,
-    reduction_cap,
     truncate,
     validate_k,
 )
@@ -74,15 +74,6 @@ class SolverStats:
     peak_level_size: int = 0
     wall_time_s: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "signatures_generated": self.signatures_generated,
-            "pruned_negative": self.pruned_negative,
-            "pruned_dominated": self.pruned_dominated,
-            "peak_level_size": self.peak_level_size,
-            "wall_time_s": self.wall_time_s,
-        }
-
 
 @dataclass
 class Decision:
@@ -105,38 +96,20 @@ class SolverConfig:
     ``prune_level_domination`` switches the optional cross-parent pruning
     of dominated signatures after each level (the verdict is the same
     either way; the level sets are smaller with it on).
-    ``use_fast_generator`` picks the merge-value-class candidate generator
-    over plain all-pairs enumeration; both produce identical sets.
     ``max_level_size``/``max_seconds`` abort with LimitError instead of
     ever returning a wrong verdict.
     """
 
     prune_level_domination: bool = True
-    use_fast_generator: bool = True
     max_level_size: int | None = None
     max_seconds: float | None = None
 
 
-def _make_record(
-    k: int, a: LeafSignature, i: int, j: int, parent_l: float
-) -> MergeRecord:
-    w_raw = omega(k, a[i], a[j])
-    cap = reduction_cap(k, len(a) - 1, w_raw)
-    inserted = min(w_raw, cap)
-    vals = [min(v, cap) for p, v in enumerate(a) if p != i and p != j]
-    vals.append(inserted)
-    child = LeafSignature(vals)
+def _make_record(k: int, a: LeafSignature, i: int, j: int, parent_l: float) -> MergeRecord:
+    inserted, cap, child = _reduce(k, a, i, j)
     l_value = min(parent_l, inserted)
     assert child.max_value <= l_value + k - 1
-    return MergeRecord(
-        parent=a,
-        merged_lo=a[i],
-        merged_hi=a[j],
-        omega=inserted,
-        cap=cap,
-        child=child,
-        l_value=l_value,
-    )
+    return MergeRecord(a, a[i], a[j], inserted, cap, child, l_value)
 
 
 def _dominated_filter(sigs: Iterable[LeafSignature]) -> list[LeafSignature]:
@@ -260,18 +233,15 @@ def _run_levels(
     l_of: dict[LeafSignature, float] = {top: math.inf}
     stats.peak_level_size = 1
 
-    generate: Callable[..., list[MergeRecord]] = (
-        generate_children_fast if config.use_fast_generator else generate_children_naive
-    )
-
     for z in range(n - 1, 0, -1):
         merged: dict[LeafSignature, MergeRecord] = {}
         for a in levels[-1].sorted_signatures():
             if deadline is not None and time.perf_counter() > deadline:
                 raise LimitError(f"time limit of {config.max_seconds}s exceeded at level {z}")
-            for rec in generate(k, a, parent_l=l_of[a], stats=stats):
+            for rec in generate_children_fast(k, a, parent_l=l_of[a], stats=stats):
                 merged.setdefault(rec.child, rec)
-        assert len(merged) <= z**k
+        # z >= 2 and len < 2**k imply len < z**k without building the bignum
+        assert (z >= 2 and k >= len(merged).bit_length()) or len(merged) <= z**k
         if config.prune_level_domination:
             kept = _dominated_filter(merged)
             stats.pruned_dominated += len(merged) - len(kept)

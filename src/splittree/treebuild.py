@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import InputError
-from .signature import LeafSignature, canonicalize, omega, truncate, validate_k
-from .solver import MergeRecord
+from .signature import canonicalize, omega, truncate, validate_k
+from .solver import MergeRecord, _validate_instance
 
 
 @dataclass
@@ -28,21 +29,22 @@ class TreeNode:
         return not self.children
 
 
+def _preorder(root: TreeNode) -> Iterator[TreeNode]:
+    """Every node below ``root``: parents first, children left to right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for _, child in reversed(node.children))
+
+
 @dataclass
 class SplitTree:
     k: int
     root: TreeNode
 
     def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                out.append(node)
-            else:
-                stack.extend(child for _, child in reversed(node.children))
-        return out
+        return [node for node in _preorder(self.root) if node.is_leaf()]
 
     def leaf_depths(self) -> list[int]:
         return sorted(leaf.depth for leaf in self.leaves())
@@ -94,10 +96,7 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     every leaf keeps depth <= label).  The result carries the original
     bounds of ``d`` as leaf labels and passes ``validate``.
     """
-    validate_k(k)
-    sig = canonicalize(d)
-    if sig.min_value < 0:
-        raise InputError("depth bounds must be >= 0")
+    sig = _validate_instance(k, d)
 
     if not chain:
         if len(sig) != 1:
@@ -163,9 +162,7 @@ def validate(k: int, tree: SplitTree, d) -> ValidationReport:
         violations.append((tree.root.node_id, "root-depth", f"root depth {tree.root.depth} != 0"))
 
     leaves: list[TreeNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
+    for node in _preorder(tree.root):
         if node.is_leaf():
             leaves.append(node)
             if node.leaf_label is not None and node.depth > node.leaf_label:
@@ -187,7 +184,6 @@ def validate(k: int, tree: SplitTree, d) -> ValidationReport:
                 violations.append(
                     (child.node_id, "depth", f"depth {child.depth} != {node.depth} + {e}")
                 )
-            stack.append(child)
 
     leaf_depths = sorted(leaf.depth for leaf in leaves)
     if len(leaves) != len(bounds):
@@ -212,7 +208,11 @@ def relabel(tree: SplitTree, d) -> SplitTree:
     The shallowest leaf gets the smallest bound and so on; possible
     exactly when the sorted leaf depths are bounded by sorted ``d``.
     """
-    new_tree = parse_tree(export_tree(tree, "json"))
+    nodes = list(_preorder(tree.root))
+    twin = {id(node): TreeNode(node.node_id, node.depth, node.leaf_label) for node in nodes}
+    for node in nodes:
+        twin[id(node)].children = [(e, twin[id(child)]) for e, child in node.children]
+    new_tree = SplitTree(tree.k, twin[id(tree.root)])
     leaves = sorted(new_tree.leaves(), key=lambda leaf: (leaf.depth, leaf.node_id))
     bounds = sorted(d)
     if len(bounds) != len(leaves):
@@ -253,12 +253,7 @@ def export_tree(tree: SplitTree, format: str = "json") -> str:
         return json.dumps({"k": tree.k, "root": _node_to_dict(tree.root)}, indent=2)
     if format == "dot":
         lines = ["digraph splittree {"]
-        order: list[TreeNode] = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(child for _, child in reversed(node.children))
+        order = list(_preorder(tree.root))
         for node in order:
             if node.is_leaf():
                 bound = "" if node.leaf_label is None else f" <= {node.leaf_label}"

@@ -6,7 +6,6 @@ bound-assertion criterion (5) through a session fixture so it only runs
 once.
 """
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -14,9 +13,8 @@ from dataclasses import dataclass, field
 import pytest
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
-from splittree.oracle import kraft_check, oracle_enumerate_trees, oracle_recursive
+from splittree.oracle import kraft_check, sweep as oracle_sweep
 from splittree.solver import (
-    SolverConfig,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -27,6 +25,7 @@ from splittree.treebuild import reconstruct, relabel, validate
 SWEEP_KS = (2, 3, 4, 5, 6)
 SWEEP_MAX_N = 5
 SWEEP_MAX_VALUE = 8
+SWEEP_INSTANCES = 5 * 2_001  # 5 values of k x every multiset of 1..5 values in 0..8
 
 
 @dataclass
@@ -39,30 +38,19 @@ class SweepOutcome:
 
 @pytest.fixture(scope="session")
 def sweep() -> SweepOutcome:
-    """Solver (both pruning modes) vs both oracles over every multiset with
-    n <= 5 and values in 0..8 for k in 2..6."""
+    """Solver (both pruning modes) vs both oracles, and the feasibility sum
+    at k = 2, over every multiset with n <= 5 and values in 0..8 for k in
+    2..6."""
     outcome = SweepOutcome()
-    no_prune = SolverConfig(prune_level_domination=False)
     start = time.perf_counter()
-    for k in SWEEP_KS:
-        for n in range(1, SWEEP_MAX_N + 1):
-            for depths in itertools.combinations_with_replacement(
-                range(SWEEP_MAX_VALUE + 1), n
-            ):
-                outcome.instances += 1
-                try:
-                    verdicts = {
-                        "pruned": decide(k, depths).realizable,
-                        "unpruned": decide(k, depths, no_prune).realizable,
-                        "recursive": oracle_recursive(k, depths),
-                        "enumerate": oracle_enumerate_trees(k, depths),
-                    }
-                except AssertionError as exc:
-                    outcome.assertion_failures.append((k, depths, str(exc)))
-                    continue
-                if len(set(verdicts.values())) > 1:
-                    outcome.disagreements.append((k, depths, verdicts))
+    for k, depths, verdicts in oracle_sweep(SWEEP_KS, SWEEP_MAX_N, SWEEP_MAX_VALUE):
+        outcome.instances += 1
+        if isinstance(verdicts, AssertionError):
+            outcome.assertion_failures.append((k, depths, str(verdicts)))
+        elif len(set(verdicts.values())) > 1:
+            outcome.disagreements.append((k, depths, verdicts))
     outcome.elapsed = time.perf_counter() - start
+    assert outcome.instances == SWEEP_INSTANCES
     return outcome
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from splittree import oracle
 from splittree.cli import main
 from splittree.treebuild import parse_tree, validate
 
@@ -62,12 +67,6 @@ class TestDecide:
     def test_no_prune_flag(self, capsys):
         code, _, _ = run_cli(capsys, "decide", "--k", "6", "--depths", "5,7,7,8,8,9", "--no-prune")
         assert code == 0
-
-    def test_naive_generator_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "decide", "--k", "6", "--depths", "5,7,7,8,8,9", "--naive-generator"
-        )
-        assert code == 0 and out.startswith("realizable")
 
     def test_file_instance(self, capsys, tmp_path):
         path = tmp_path / "instance.txt"
@@ -213,3 +212,31 @@ class TestSelftest:
     def test_single_zero(self, capsys):
         code, _, _ = run_cli(capsys, "selftest", "--max-n", "1", "--max-value", "0", "--ks", "2")
         assert code == 0
+
+    def test_non_integer_k_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--max-n", "1", "--max-value", "0",
+                                 "--ks", "2,x")
+        assert code == 2
+        assert out == "" and "k >= 2" in err
+
+    def test_disagreement_exit_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "kraft_check", lambda d: False)
+        code, out, _ = run_cli(capsys, "selftest", "--max-n", "1", "--max-value", "0", "--ks", "2")
+        assert code == 5
+        assert out.startswith("FAIL: disagreement on k=2 depths=[0]")
+
+
+def test_build_refuses_invalid_tree_under_optimize():
+    # the emitted tree must be checked even when asserts are stripped
+    script = (
+        "import sys, splittree.cli as cli\n"
+        "from splittree.treebuild import ValidationReport\n"
+        "cli.validate = lambda *args: ValidationReport(False, [(-1, 'test', 'forced')], [], False)\n"
+        "sys.exit(cli.main(['build', '--k', '6', '--depths', '5,7,7,8,8,9']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "fails validation" in proc.stderr

@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from splittree import oracle
 from splittree.errors import InputError, LimitError
 from splittree.oracle import (
     OracleConfig,
@@ -100,6 +102,11 @@ class TestKraft:
         assert kraft_check([0, 400]) is False
         assert kraft_check([1, 400]) is True
 
+    def test_huge_bound_is_fast(self):
+        start = time.perf_counter()
+        assert kraft_check([0, 10**8]) is False
+        assert time.perf_counter() - start < 0.1
+
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             kraft_check([-1, 2])
@@ -128,3 +135,30 @@ class TestDispatch:
         config = OracleConfig(method="enumerate", max_n=2)
         with pytest.raises(LimitError):
             run_oracle(2, [1, 2, 2], config)
+
+
+class TestSweep:
+    def test_checks_that_apply(self):
+        cases = list(oracle.sweep([2, 3], 2, 1))
+        # multisets of 1..2 values in 0..1: (0,) (1,) (0,0) (0,1) (1,1)
+        assert [(k, d) for k, d, _ in cases][:5] == [
+            (2, (0,)), (2, (1,)), (2, (0, 0)), (2, (0, 1)), (2, (1, 1))
+        ]
+        assert len(cases) == 10
+        assert set(cases[0][2]) == {"solver", "solver_noprune", "recursive", "enumerate", "kraft"}
+        assert "kraft" not in cases[5][2]
+        assert all(len(set(verdicts.values())) == 1 for _, _, verdicts in cases)
+
+    def test_assertion_is_yielded_and_sweep_goes_on(self, monkeypatch):
+        real_decide = oracle.decide
+
+        def decide(k, depths, config=None):
+            if depths == (1,):
+                raise AssertionError("forced")
+            return real_decide(k, depths, config)
+
+        monkeypatch.setattr(oracle, "decide", decide)
+        cases = list(oracle.sweep([2], 1, 2))
+        assert [d for _, d, _ in cases] == [(0,), (1,), (2,)]
+        assert isinstance(cases[1][2], AssertionError)
+        assert isinstance(cases[0][2], dict) and isinstance(cases[2][2], dict)

@@ -99,6 +99,22 @@ class TestValidate:
         report = validate(REFERENCE_K, reference_tree(), [5, 7, 7, 8, 8, 9, 9])
         assert not report.valid
 
+    def test_relabel_deep_caterpillar(self):
+        # a spine of 299 internal vertices, each with one leaf child
+        root = node = TreeNode(0, 0)
+        for i in range(299):
+            leaf = TreeNode(2 * i + 1, node.depth + 1)
+            spine = TreeNode(2 * i + 2, node.depth + 1)
+            node.children = [(1, leaf), (1, spine)]
+            node = spine
+        tree = SplitTree(2, root)
+        bounds = [leaf.depth for leaf in tree.leaves()]
+        copy = relabel(tree, bounds)
+        assert validate(2, copy, bounds).valid
+        assert [leaf.depth for leaf in copy.leaves()] == bounds
+        assert copy.root is not root
+        assert all(leaf.leaf_label is None for leaf in tree.leaves())
+
     def test_relabel_refuses_too_tight_bounds(self):
         with pytest.raises(InputError):
             relabel(reference_tree(), [4, 7, 7, 8, 8, 9])
