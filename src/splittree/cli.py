@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 from .errors import InputError, LimitError
-from .signature import validate_k
+from .signature import LeafSignature, validate_k
 from .oracle import OracleConfig, run_oracle, sweep
-from .solver import Decision, MergeRecord, SolverConfig, decide, trace_levels
+from .solver import Decision, MergeRecord, SolverConfig, _validate_instance, decide, trace_levels
 from .treebuild import export_tree, reconstruct, validate
 
 EXIT_REALIZABLE = 0
@@ -27,20 +27,6 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_IO = 4
 EXIT_DISAGREE = 5
-
-
-@dataclass
-class InstanceSpec:
-    k: int
-    depths: list[int]
-    source: str  # "flags" or the file path
-
-    def __post_init__(self) -> None:
-        validate_k(self.k)
-        if not self.depths:
-            raise InputError("an instance needs at least one depth bound")
-        if any(v < 0 for v in self.depths):
-            raise InputError("depth bounds must be >= 0")
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -53,9 +39,10 @@ def _parse_depths(text: str) -> list[int]:
         raise InputError(f"depth bounds must be integers: {exc}") from None
 
 
-def _load_instance(args: argparse.Namespace) -> InstanceSpec:
-    if getattr(args, "file", None):
-        if args.k is not None or args.depths is not None:
+def _load_instance(args: argparse.Namespace) -> tuple[int, LeafSignature]:
+    k, depths = args.k, args.depths
+    if args.file:
+        if k is not None or depths is not None:
             raise InputError("give either --file or --k/--depths, not both")
         with open(args.file, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
@@ -65,30 +52,19 @@ def _load_instance(args: argparse.Namespace) -> InstanceSpec:
             k = int(lines[0])
         except ValueError:
             raise InputError(f"{args.file}: first line must be the integer k") from None
-        return InstanceSpec(k=k, depths=_parse_depths(lines[1]), source=args.file)
-    if args.k is None or args.depths is None:
+        depths = lines[1]
+    elif k is None or depths is None:
         raise InputError("an instance needs --k and --depths (or --file)")
-    return InstanceSpec(k=args.k, depths=_parse_depths(args.depths), source="flags")
+    return k, _validate_instance(k, _parse_depths(depths))
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        prune_level_domination=not getattr(args, "no_prune", False),
-        max_level_size=getattr(args, "max_level_size", None),
-        max_seconds=getattr(args, "max_seconds", None),
-    )
+    return SolverConfig(not args.no_prune, args.max_level_size, args.max_seconds)
 
 
 def _record_dict(rec: MergeRecord) -> dict:
-    return {
-        "parent": list(rec.parent),
-        "merged_lo": rec.merged_lo,
-        "merged_hi": rec.merged_hi,
-        "omega": rec.omega,
-        "cap": rec.cap,
-        "child": list(rec.child),
-        "l_value": rec.l_value if rec.l_value != float("inf") else None,
-    }
+    out = {f.name: getattr(rec, f.name) for f in fields(MergeRecord)}
+    return {**out, "l_value": None if rec.l_value == float("inf") else rec.l_value}
 
 
 def _stats_dict(decision: Decision) -> dict:
@@ -106,8 +82,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    spec = _load_instance(args)
-    decision = decide(spec.k, spec.depths, _solver_config(args))
+    k, depths = _load_instance(args)
+    decision = decide(k, depths, _solver_config(args))
     if args.format == "json":
         payload = {
             "realizable": decision.realizable,
@@ -124,13 +100,13 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    spec = _load_instance(args)
-    decision = decide(spec.k, spec.depths, _solver_config(args))
+    k, depths = _load_instance(args)
+    decision = decide(k, depths, _solver_config(args))
     if not decision.realizable:
         print("unrealizable", file=sys.stderr)
         return EXIT_UNREALIZABLE
-    tree = reconstruct(spec.k, spec.depths, decision.witness_chain)
-    report = validate(spec.k, tree, spec.depths)
+    tree = reconstruct(k, depths, decision.witness_chain)
+    report = validate(k, tree, depths)
     if not report.valid:
         raise AssertionError(f"built tree fails validation: {report.violations}")
     _emit(export_tree(tree, args.format) + ("\n" if args.format == "json" else ""), args.out)
@@ -191,10 +167,10 @@ def _trace_dot(levels) -> str:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    spec = _load_instance(args)
-    levels = trace_levels(spec.k, spec.depths, _solver_config(args))
+    k, depths = _load_instance(args)
+    levels = trace_levels(k, depths, _solver_config(args))
     if args.format == "json":
-        text = _trace_json(spec.k, levels)
+        text = _trace_json(k, levels)
     elif args.format == "dot":
         text = _trace_dot(levels)
     else:
@@ -205,9 +181,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    spec = _load_instance(args)
-    config = OracleConfig(method=args.method, max_n=args.max_n)
-    verdict = run_oracle(spec.k, spec.depths, config)
+    k, depths = _load_instance(args)
+    verdict = run_oracle(k, depths, OracleConfig(method=args.method, max_n=args.max_n))
     print("realizable" if verdict else "unrealizable")
     return EXIT_REALIZABLE if verdict else EXIT_UNREALIZABLE
 

@@ -135,10 +135,13 @@ def kraft_check(d) -> bool:
 def run_oracle(k: int, d, config: OracleConfig | None = None) -> bool:
     """Dispatch one oracle method with its safety limit."""
     config = config or OracleConfig()
+    max_n = config.max_n
+    if max_n is not None and max_n < 0:
+        raise InputError(f"max_n must be >= 0, got {max_n}")
     if config.method == "recursive":
-        return oracle_recursive(k, d, config.max_n or RECURSIVE_DEFAULT_LIMIT)
+        return oracle_recursive(k, d, RECURSIVE_DEFAULT_LIMIT if max_n is None else max_n)
     if config.method == "enumerate":
-        return oracle_enumerate_trees(k, d, config.max_n or ENUMERATE_DEFAULT_LIMIT)
+        return oracle_enumerate_trees(k, d, ENUMERATE_DEFAULT_LIMIT if max_n is None else max_n)
     if config.method == "kraft":
         validate_k(k)
         if k != 2:

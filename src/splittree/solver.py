@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputError, LimitError
 from .signature import (
@@ -97,31 +97,35 @@ class SolverConfig:
     of dominated signatures after each level (the verdict is the same
     either way; the level sets are smaller with it on).
     ``max_level_size``/``max_seconds`` abort with LimitError instead of
-    ever returning a wrong verdict.
+    ever returning a wrong verdict; both must be >= 0 (0 is a real limit).
     """
 
     prune_level_domination: bool = True
     max_level_size: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_level_size", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise InputError(f"{name} must be >= 0, got {value}")
 
-def _make_record(k: int, a: LeafSignature, i: int, j: int, parent_l: float) -> MergeRecord:
-    inserted, cap, child = _reduce(k, a, i, j)
-    l_value = min(parent_l, inserted)
-    assert child.max_value <= l_value + k - 1
-    return MergeRecord(a, a[i], a[j], inserted, cap, child, l_value)
 
-
-def _dominated_filter(sigs: Iterable[LeafSignature]) -> list[LeafSignature]:
+def _dominated_filter(
+    sigs: Iterable[LeafSignature], check_time: Callable[[], None] | None = None
+) -> list[LeafSignature]:
     """Signatures not dominated by another one in the collection.
 
     A dominator always has a strictly larger element sum (the input holds
     distinct signatures), so scanning in descending sum order lets every
-    candidate be checked against the kept front only.
+    candidate be checked against the kept front only.  ``check_time``, if
+    given, runs before each candidate is scanned.
     """
     order = sorted(sigs, key=lambda s: (-sum(s), s))
     kept: list[LeafSignature] = []
     for c in order:
+        if check_time is not None:
+            check_time()
         if not any(is_dominated(c, o) for o in kept):
             kept.append(c)
     return kept
@@ -130,23 +134,23 @@ def _dominated_filter(sigs: Iterable[LeafSignature]) -> list[LeafSignature]:
 def _generate(
     k: int,
     a: LeafSignature,
-    pairs: Iterable[tuple[int, int]],
+    pairs: list[tuple[int, int]],
     parent_l: float,
     stats: SolverStats | None,
 ) -> list[MergeRecord]:
     cands: dict[LeafSignature, MergeRecord] = {}
     negatives = 0
-    generated = 0
     for i, j in pairs:
-        rec = _make_record(k, a, i, j, parent_l)
-        generated += 1
-        if rec.child.has_negative():
+        inserted, cap, child = _reduce(k, a, i, j)
+        l_value = min(parent_l, inserted)
+        assert child.max_value <= l_value + k - 1
+        if child.has_negative():
             negatives += 1
             continue
-        cands.setdefault(rec.child, rec)
+        cands.setdefault(child, MergeRecord(a, a[i], a[j], inserted, cap, child, l_value))
     kept = _dominated_filter(cands)
     if stats is not None:
-        stats.signatures_generated += generated
+        stats.signatures_generated += len(pairs)
         stats.pruned_negative += negatives
         stats.pruned_dominated += len(cands) - len(kept)
     assert len(kept) <= k * (len(a) - 1)
@@ -217,33 +221,40 @@ def _validate_instance(k: int, d: Iterable[int]) -> LeafSignature:
     return sig
 
 
+def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
+    # a tree with n leaves has at most n-1 edges of length at most k-1 on
+    # any root-leaf path, so larger bounds are slack
+    return truncate(sig, (k - 1) * (len(sig) - 1))
+
+
 def _run_levels(
     k: int, d: Iterable[int], config: SolverConfig
 ) -> tuple[list[LevelSet], SolverStats]:
     sig = _validate_instance(k, d)
-    n = len(sig)
     stats = SolverStats()
     start = time.perf_counter()
-    deadline = None if config.max_seconds is None else start + config.max_seconds
+    check_time = None
+    if config.max_seconds is not None:
+        deadline = start + config.max_seconds
 
-    # a tree with n leaves has at most n-1 edges of length at most k-1 on
-    # any root-leaf path, so larger bounds are slack
-    top = truncate(sig, (k - 1) * (n - 1))
-    levels = [LevelSet(n, frozenset({top}), {})]
-    l_of: dict[LeafSignature, float] = {top: math.inf}
-    stats.peak_level_size = 1
+        def check_time() -> None:
+            if time.perf_counter() > deadline:
+                raise LimitError(f"time limit of {config.max_seconds}s exceeded at level {z}")
 
-    for z in range(n - 1, 0, -1):
+    levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
+    for z in range(len(sig) - 1, 0, -1):
+        parents = levels[-1].record_of
         merged: dict[LeafSignature, MergeRecord] = {}
         for a in levels[-1].sorted_signatures():
-            if deadline is not None and time.perf_counter() > deadline:
-                raise LimitError(f"time limit of {config.max_seconds}s exceeded at level {z}")
-            for rec in generate_children_fast(k, a, parent_l=l_of[a], stats=stats):
+            if check_time is not None:
+                check_time()
+            parent_l = parents[a].l_value if parents else math.inf
+            for rec in generate_children_fast(k, a, parent_l=parent_l, stats=stats):
                 merged.setdefault(rec.child, rec)
         # z >= 2 and len < 2**k imply len < z**k without building the bignum
         assert (z >= 2 and k >= len(merged).bit_length()) or len(merged) <= z**k
         if config.prune_level_domination:
-            kept = _dominated_filter(merged)
+            kept = _dominated_filter(merged, check_time)
             stats.pruned_dominated += len(merged) - len(kept)
             merged = {c: merged[c] for c in kept}
         if config.max_level_size is not None and len(merged) > config.max_level_size:
@@ -252,11 +263,10 @@ def _run_levels(
                 f"limit of {config.max_level_size}"
             )
         levels.append(LevelSet(z, frozenset(merged), merged))
-        l_of = {c: r.l_value for c, r in merged.items()}
-        stats.peak_level_size = max(stats.peak_level_size, len(merged))
         if not merged:
             break
 
+    stats.peak_level_size = max(len(level.signatures) for level in levels)
     stats.wall_time_s = time.perf_counter() - start
     return levels, stats
 
@@ -285,13 +295,11 @@ def decide(k: int, d: Iterable[int], config: SolverConfig | None = None) -> Deci
     if levels[-1].z != 1 or not levels[-1].signatures:
         return Decision(realizable=False, witness_chain=[], stats=stats)
 
-    witness = max(levels[-1].signatures)
-    assert len(witness) == 1 and witness[0] >= 0
+    sig = max(levels[-1].signatures)
+    assert len(sig) == 1 and sig[0] >= 0
     chain: list[MergeRecord] = []
-    sig = witness
     for level in reversed(levels[1:]):
-        rec = level.record_of[sig]
-        chain.append(rec)
-        sig = rec.parent
+        chain.append(level.record_of[sig])
+        sig = chain[-1].parent
     chain.reverse()
     return Decision(realizable=True, witness_chain=chain, stats=stats)

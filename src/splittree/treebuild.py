@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import InputError
-from .signature import canonicalize, omega, truncate, validate_k
-from .solver import MergeRecord, _validate_instance
+from .signature import canonicalize, omega, validate_k
+from .solver import MergeRecord, _start_signature, _validate_instance
 
 
 @dataclass
@@ -80,12 +80,6 @@ def child_edge_lengths(k: int, p: int, d_lo: int, d_hi: int) -> tuple[int, int]:
     return a, b
 
 
-def _remove_one(values: list[int], v: int) -> list[int]:
-    out = list(values)
-    out.remove(v)
-    return out
-
-
 def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     """Build a witness tree for bounds ``d`` from a decide() witness chain.
 
@@ -106,8 +100,7 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     singleton = chain[-1].child
     if len(singleton) != 1 or singleton[0] < 0:
         raise ValueError(f"witness chain must end in a non-negative singleton, got {singleton!r}")
-    top = truncate(sig, (k - 1) * (len(sig) - 1))
-    if len(chain) != len(sig) - 1 or canonicalize(chain[0].parent) != top:
+    if len(chain) != len(sig) - 1 or canonicalize(chain[0].parent) != _start_signature(k, sig):
         raise ValueError("witness chain does not start at the given bounds")
     for earlier, later in zip(chain, chain[1:]):
         if earlier.child != later.parent:
@@ -134,7 +127,9 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
         grow.leaf_label = None
 
         rest = [leaf for leaf in leaves if leaf is not grow]
-        targets = _remove_one(_remove_one(list(rec.parent), rec.merged_lo), rec.merged_hi)
+        targets = list(rec.parent)
+        targets.remove(rec.merged_lo)
+        targets.remove(rec.merged_hi)
         rest.sort(key=lambda leaf: (leaf.leaf_label, leaf.node_id))
         for leaf, label in zip(rest, sorted(targets)):
             assert leaf.leaf_label <= label

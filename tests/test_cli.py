@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +37,17 @@ class TestDecide:
     def test_negative_depth_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "decide", "--k", "2", "--depths", "3,-1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-seconds", "nan"),
+        ("--max-seconds", "-1"),
+        ("--max-level-size", "-1"),
+    ])
+    def test_invalid_limit_exit_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "decide", "--k", "6", "--depths", "5,7,7,8,8,9",
+                                 flag, value)
+        assert code == 2
+        assert out == "" and "must be >= 0" in err
 
     def test_level_limit_exit_three(self, capsys):
         code, _, err = run_cli(
@@ -196,6 +208,16 @@ class TestOracle:
         )
         assert code == 2
 
+    def test_zero_max_n_is_a_limit(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--k", "3", "--depths", "1,2", "--max-n", "0")
+        assert code == 3
+        assert "n <= 0" in err
+
+    def test_negative_max_n_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--k", "3", "--depths", "1,2", "--max-n", "-1")
+        assert code == 2
+        assert "max_n must be >= 0" in err
+
     def test_unknown_method_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["oracle", "--k", "2", "--depths", "1,1", "--method", "psychic"])
@@ -240,3 +262,28 @@ def test_build_refuses_invalid_tree_under_optimize():
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "fails validation" in proc.stderr
+
+
+def _pinned_instances():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+    yield pytest.param(pool["cli"]["reference"], id="reference")
+    for group, entries in (("small", pool["cli"]["small"]),
+                           ("holdout", pool["holdout"]["cli"]["small"])):
+        for i, entry in enumerate(entries):
+            yield pytest.param(entry, id=f"{group}{i}")
+
+
+@pytest.mark.parametrize("entry", list(_pinned_instances()))
+def test_pinned_stdout(capsys, entry):
+    # every CLI call pinned in bench/pool.json: same exit code, same stdout bytes
+    depths = ",".join(map(str, entry["depths"]))
+    assert len(entry["calls"]) == 8
+    for variant, (exit_code, sha256) in entry["calls"].items():
+        command, _, fmt = variant.partition("-")
+        argv = [command, "--k", str(entry["k"]), "--depths", depths]
+        if command == "oracle":
+            argv += ["--method", "kraft" if entry["k"] == 2 else "recursive"]
+        else:
+            argv += ["--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256), argv

@@ -136,6 +136,15 @@ class TestDispatch:
         with pytest.raises(LimitError):
             run_oracle(2, [1, 2, 2], config)
 
+    def test_zero_max_n_is_a_limit(self):
+        for method in ("recursive", "enumerate"):
+            with pytest.raises(LimitError):
+                run_oracle(2, [1, 1], OracleConfig(method=method, max_n=0))
+
+    def test_negative_max_n_rejected(self):
+        with pytest.raises(InputError):
+            run_oracle(2, [1, 1], OracleConfig(method="recursive", max_n=-1))
+
 
 class TestSweep:
     def test_checks_that_apply(self):

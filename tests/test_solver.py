@@ -253,5 +253,27 @@ class TestLimits:
         with pytest.raises(LimitError):
             decide(4, list(range(0, 60, 3)), SolverConfig(max_seconds=0.0))
 
+    def test_time_limit_bounds_level_pruning(self):
+        # the level-wide domination pass on this instance runs for seconds;
+        # the limit must stop it, not just the next parent
+        h10 = [22, 26, 24, 27, 27, 24, 25, 23, 28, 26, 25, 21, 31, 31, 22, 23]
+        start = time.perf_counter()
+        with pytest.raises(LimitError):
+            decide(10, h10, SolverConfig(max_seconds=2.0))
+        assert 2.0 <= time.perf_counter() - start < 2.5
+
+    def test_zero_level_size_is_a_limit(self):
+        with pytest.raises(LimitError):
+            decide(2, [1, 1], SolverConfig(max_level_size=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_seconds", math.nan),
+        ("max_seconds", -0.5),
+        ("max_level_size", -1),
+    ])
+    def test_invalid_limit_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            SolverConfig(**{field: value})
+
     def test_limits_off_by_default(self):
         assert decide(6, [4, 5, 6, 7, 8, 9]).realizable in (True, False)
