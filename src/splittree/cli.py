@@ -63,8 +63,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _record_dict(rec: MergeRecord) -> dict:
-    out = {f.name: getattr(rec, f.name) for f in fields(MergeRecord)}
-    return {**out, "l_value": None if rec.l_value == float("inf") else rec.l_value}
+    return {f.name: getattr(rec, f.name) for f in fields(MergeRecord)}
 
 
 def _stats_dict(decision: Decision) -> dict:

@@ -9,6 +9,7 @@ value ``omega``, domination, truncation, and the single reduction step
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from typing import Iterable
 
 from .errors import InputError
@@ -70,6 +71,15 @@ def omega(k: int, a1: int, a2: int) -> int:
     [min(a1,a2) - ceil(k/2), min(a1,a2) - 1].
     """
     validate_k(k)
+    return _omega(k, a1, a2)
+
+
+def _omega(k: int, a1: int, a2: int) -> int:
+    """``omega`` without the check on ``k``.
+
+    Once |a1 - a2| >= k - 2 the result is min(a1, a2) - 1 and stays there
+    as the gap grows, which lets ``generate_children_fast`` stop its scan.
+    """
     gap = k - abs(a1 - a2)
     # (gap + 1) // 2 is ceil(gap / 2) for any integer gap
     return min(a1, a2) - max(1, (gap + 1) // 2)
@@ -100,12 +110,17 @@ def _reduce(k: int, a: LeafSignature, i: int, j: int) -> tuple[int, int, LeafSig
     than k-1 below the deepest internal vertex), and a singleton child to 0
     (its leaf is the root).  ``inserted`` is w cut to the cap.
     """
-    w = omega(k, a[i], a[j])
+    w = _omega(k, a[i], a[j])
     cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)
     inserted = min(w, cap)
-    rest = [min(v, cap) for p, v in enumerate(a) if p != i and p != j]
-    rest.append(inserted)
-    return inserted, cap, LeafSignature(rest)
+    rest = list(a)
+    del rest[max(i, j)], rest[min(i, j)]
+    # rest is sorted, so the values above the cap form its tail
+    cut = bisect_right(rest, cap)
+    rest[cut:] = [cap] * (len(rest) - cut)
+    insort(rest, inserted)
+    # sorted integers taken from a LeafSignature: skip the constructor's checks
+    return inserted, cap, tuple.__new__(LeafSignature, rest)
 
 
 def merge_reduce(k: int, a: LeafSignature, i: int, j: int) -> LeafSignature:
@@ -115,6 +130,8 @@ def merge_reduce(k: int, a: LeafSignature, i: int, j: int) -> LeafSignature:
     result as ``_reduce`` describes.  The output is canonical and one shorter.
     """
     validate_k(k)
+    if canonicalize(a) != tuple(a):
+        raise InputError("merge_reduce needs a sorted signature")
     n = len(a)
     if n < 2:
         raise InputError("merge_reduce needs a signature of length >= 2")

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import lshift
 from typing import Callable, Iterable
 
 from .errors import InputError, LimitError
 from .signature import (
     LeafSignature,
+    _omega,
     _reduce,
     canonicalize,
-    is_dominated,
-    omega,
     truncate,
     validate_k,
 )
@@ -32,8 +32,8 @@ class MergeRecord:
 
     ``omega`` is the value actually inserted into the child (the raw merge
     value, cut to ``cap``).  ``l_value`` is the smallest value inserted
-    anywhere along this child's derivation; the input signature carries
-    ``math.inf``.  Every record satisfies max(child) <= l_value + k - 1.
+    anywhere along this child's derivation, so it is always an integer.
+    Every record satisfies max(child) <= l_value + k - 1.
     """
 
     parent: LeafSignature
@@ -42,7 +42,7 @@ class MergeRecord:
     omega: int
     cap: int
     child: LeafSignature
-    l_value: float
+    l_value: int
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,40 @@ class SolverConfig:
 def _dominated_filter(
     sigs: Iterable[LeafSignature], check_time: Callable[[], None] | None = None
 ) -> list[LeafSignature]:
-    """Signatures not dominated by another one in the collection.
+    """Signatures of one length not dominated by another one in the collection.
 
     A dominator always has a strictly larger element sum (the input holds
     distinct signatures), so scanning in descending sum order lets every
     candidate be checked against the kept front only.  ``check_time``, if
     given, runs before each candidate is scanned.
+
+    Each signature is packed into one integer with ``v - lo`` in a lane of
+    ``(hi - lo).bit_length() + 1`` bits, ``lo``/``hi`` being the smallest and
+    largest value in the collection.  The top bit of every lane is a guard:
+    lane by lane, ``(packed(o) | guard) - packed(c)`` keeps its guard bit iff
+    ``c <= o`` there, and no lane borrows from the next, so ``c`` is
+    dominated by ``o`` iff the difference still holds every guard bit.
     """
     order = sorted(sigs, key=lambda s: (-sum(s), s))
+    if not order:
+        return []
+    lo = min(s[0] for s in order)
+    width = (max(s[-1] for s in order) - lo).bit_length() + 1
+    shifts = range(0, width * len(order[0]), width)
+    ones = sum(1 << shift for shift in shifts)
+    guard, offset = ones << (width - 1), lo * ones
     kept: list[LeafSignature] = []
+    fronts: list[int] = []
     for c in order:
         if check_time is not None:
             check_time()
-        if not any(is_dominated(c, o) for o in kept):
+        packed = sum(map(lshift, c, shifts)) - offset  # lanes of v - lo
+        for front in fronts:
+            if (front - packed) & guard == guard:
+                break
+        else:
             kept.append(c)
+            fronts.append(packed | guard)
     return kept
 
 
@@ -189,7 +209,8 @@ def generate_children_fast(
     Among partners sharing a merge value, merging the smallest one leaves
     the largest leftover in the signature and therefore dominates the
     others, so only that representative pair per (i, value) class is
-    expanded.
+    expanded.  Once a[j] - a[i] >= k - 2 the merge value is a[i] - 1 for
+    every later partner too, so the scan for i stops after that j.
     """
     validate_k(k)
     a = canonicalize(a)
@@ -198,10 +219,13 @@ def generate_children_fast(
         raise InputError("child generation needs a signature of length >= 2")
     pairs: list[tuple[int, int]] = []
     for i in range(n - 1):
+        ai = a[i]
         best_j: dict[int, int] = {}
         for j in range(i + 1, n):
             # a[j] >= a[i]: position i is the min side of the pair
-            best_j.setdefault(omega(k, a[i], a[j]), j)
+            best_j.setdefault(_omega(k, ai, a[j]), j)
+            if a[j] - ai >= k - 2:
+                break
         pairs.extend((i, j) for j in best_j.values())
     return _generate(k, a, pairs, parent_l, stats)
 

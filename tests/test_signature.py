@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from splittree.errors import InputError
 from splittree.signature import (
     LeafSignature,
+    _omega,
+    _reduce,
     canonicalize,
     is_dominated,
     merge_reduce,
@@ -57,6 +60,13 @@ class TestOmega:
                 for b in range(a, 21):
                     w = omega(k, a, b)
                     assert a - math.ceil(k / 2) <= w <= a - 1
+
+    def test_fixed_once_gap_reaches_k_minus_2(self):
+        # the early exit of generate_children_fast relies on this
+        for k in range(2, 13):
+            for a in range(-5, 6):
+                for b in range(a + max(k - 2, 0), a + 3 * k):
+                    assert _omega(k, a, b) == omega(k, a, b) == a - 1
 
 
 class TestCanonicalize:
@@ -162,6 +172,28 @@ class TestMergeReduce:
                 merge_reduce(2, a, i, j)
         with pytest.raises(InputError):
             merge_reduce(2, canonicalize([5]), 0, 1)
+
+    def test_rejects_unsorted_signature(self):
+        with pytest.raises(InputError):
+            merge_reduce(4, (5, 3, 4), 0, 1)
+
+    def test_fast_child_matches_plain_construction(self):
+        rng = random.Random(11)
+        cases = [(k, (a, b)) for k in (2, 3, 6) for a in range(-2, 6) for b in range(a, 8)]
+        # a wide spread puts the cap below several values
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            cases.append((rng.randint(2, 10), [rng.randint(-3, 40) for _ in range(n)]))
+        for k, values in cases:
+            a = canonicalize(values)
+            for i, j in itertools.permutations(range(len(a)), 2):
+                w = omega(k, a[i], a[j])
+                cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)
+                rest = [min(v, cap) for p, v in enumerate(a) if p not in (i, j)]
+                plain = LeafSignature(sorted(rest + [min(w, cap)]))
+                inserted, got_cap, child = _reduce(k, a, i, j)
+                assert (inserted, got_cap, child) == (min(w, cap), cap, plain), (k, a, i, j)
+                assert type(child) is LeafSignature
 
     def test_singleton_result_is_normalized_to_zero(self):
         # a lone leaf sits at the root, so any non-negative bound collapses

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
 from splittree.errors import InputError, LimitError
-from splittree.signature import canonicalize, is_dominated, truncate
+from splittree.signature import canonicalize, is_dominated, omega, truncate
 from splittree.solver import (
     LevelSet,
     SolverConfig,
+    SolverStats,
+    _dominated_filter,
+    _generate,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -75,6 +78,62 @@ class TestGenerators:
         children = [r.child for r in recs]
         assert children == sorted(children)
         assert all(c[0] >= 0 for c in children)
+
+    def test_early_exit_keeps_counters_and_records(self):
+        # reference scan: every partner j of i, one pair per (i, omega) class
+        rng = random.Random(2024)
+        cases = [(2, [rng.randint(0, n - 1) for _ in range(n)]) for n in (2, 3, 50, 200)]
+        for _ in range(120):
+            k = rng.randint(2, 12)
+            n = rng.choice([2, 3, 5, 8, 13, 30, 60, 200])
+            cases.append((k, [rng.randint(0, rng.choice([k, 3 * k, n])) for _ in range(n)]))
+        for k, values in cases:
+            sig = canonicalize(values)
+            pairs = []
+            for i in range(len(sig) - 1):
+                best_j = {}
+                for j in range(i + 1, len(sig)):
+                    best_j.setdefault(omega(k, sig[i], sig[j]), j)
+                pairs.extend((i, j) for j in best_j.values())
+            parent_l = rng.choice([math.inf, sig[-1] - k + 1])  # max(a) <= l + k - 1
+            expected_stats, stats = SolverStats(), SolverStats()
+            expected = _generate(k, sig, pairs, parent_l, expected_stats)
+            assert generate_children_fast(k, sig, parent_l, stats) == expected, (k, sig)
+            assert stats == expected_stats, (k, sig)
+
+
+class TestDominatedFilter:
+    @staticmethod
+    def maximal(sigs):
+        kept = [c for c in sigs if not any(o != c and is_dominated(c, o) for o in sigs)]
+        return sorted(kept, key=lambda s: (-sum(s), s))
+
+    @staticmethod
+    def seeded_sets():
+        rng = random.Random(7)
+        yield []
+        yield [canonicalize([5])]
+        yield [canonicalize([-3, 2**41])]
+        for n in range(1, 13):
+            for lo, hi in ((0, 9), (-30, 5), (-4, 4), (2**40, 2**40 + 20), (-(2**45), 2**43)):
+                for size in (1, 2, 10, 60):
+                    sigs = {canonicalize([rng.randint(lo, hi) for _ in range(n)])
+                            for _ in range(size)}
+                    yield sorted(sigs)
+            # equal element sums: no two of these dominate each other
+            total = 3 * n
+            sigs = set()
+            for _ in range(20):
+                cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+                sigs.add(canonicalize(b - a for a, b in zip([0, *cuts], [*cuts, total])))
+            yield sorted(sigs)
+
+    def test_matches_brute_force_maximal_set(self):
+        for sigs in self.seeded_sets():
+            calls = []
+            kept = _dominated_filter(sigs, lambda: calls.append(None))
+            assert kept == self.maximal(sigs), sigs
+            assert len(calls) == len(sigs)
 
 
 class TestPruneLevel:
