@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import lshift
+from operator import itemgetter, lshift
 from typing import Callable, Iterable
 
 from .errors import InputError, LimitError
 from .signature import (
     LeafSignature,
-    _omega,
     _reduce,
     canonicalize,
     truncate,
@@ -128,11 +128,12 @@ def _dominated_filter(
     ``c <= o`` there, and no lane borrows from the next, so ``c`` is
     dominated by ``o`` iff the difference still holds every guard bit.
     """
-    order = sorted(sigs, key=lambda s: (-sum(s), s))
+    order = sorted(sigs)
     if not order:
         return []
-    lo = min(s[0] for s in order)
-    width = (max(s[-1] for s in order) - lo).bit_length() + 1
+    order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
+    lo = min(map(itemgetter(0), order))
+    width = (max(map(itemgetter(-1), order)) - lo).bit_length() + 1
     shifts = range(0, width * len(order[0]), width)
     ones = sum(1 << shift for shift in shifts)
     guard, offset = ones << (width - 1), lo * ones
@@ -151,6 +152,73 @@ def _dominated_filter(
     return kept
 
 
+# (merged_lo, merged_hi, omega, cap) of one reduction step, as in MergeRecord
+Provenance = tuple[int, int, int, int]
+
+
+def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
+    """The representative pairs of ``generate_children_fast``, by i then j."""
+    n = len(a)
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        ai = a[i]
+        j = i + 1
+        while True:
+            pairs.append((i, j))
+            gap = a[j] - ai
+            if gap >= k - 2:
+                break
+            # the next class starts at the smallest gap t > gap with k - t even
+            j = bisect_left(a, ai + gap + 2 - (k - gap) % 2, j + 1)
+            if j == n:
+                break
+    return pairs
+
+
+def _expand(
+    k: int,
+    a: LeafSignature,
+    pairs: list[tuple[int, int]],
+    parent_l: float,
+    stats: SolverStats | None,
+) -> dict[LeafSignature, Provenance]:
+    """The undominated non-negative children of ``a`` over ``pairs``, in
+    sorted order, each with the ``(merged_lo, merged_hi, omega, cap)`` of its
+    first pair.
+
+    Pairs of equal values give equal children, so each distinct value pair
+    is reduced once; the repeats of a negative one still count as negatives.
+    """
+    cands: dict[LeafSignature, Provenance] = {}
+    negative_of: dict[tuple[int, int], bool] = {}
+    negatives = 0
+    for i, j in pairs:
+        lo, hi = a[i], a[j]
+        negative = negative_of.get((lo, hi))
+        if negative is None:
+            inserted, cap, child = _reduce(k, a, i, j)
+            assert child.max_value <= min(parent_l, inserted) + k - 1
+            negative = negative_of[lo, hi] = child.has_negative()
+            if not negative and child not in cands:
+                cands[child] = (lo, hi, inserted, cap)
+        negatives += negative
+    kept = _dominated_filter(cands)
+    if stats is not None:
+        stats.signatures_generated += len(pairs)
+        stats.pruned_negative += negatives
+        stats.pruned_dominated += len(cands) - len(kept)
+    assert len(kept) <= k * (len(a) - 1)
+    kept.sort()
+    return {c: cands[c] for c in kept}
+
+
+def _record(
+    child: LeafSignature, a: LeafSignature, parent_l: float, provenance: Provenance
+) -> MergeRecord:
+    lo, hi, inserted, cap = provenance
+    return MergeRecord(a, lo, hi, inserted, cap, child, min(parent_l, inserted))
+
+
 def _generate(
     k: int,
     a: LeafSignature,
@@ -158,23 +226,8 @@ def _generate(
     parent_l: float,
     stats: SolverStats | None,
 ) -> list[MergeRecord]:
-    cands: dict[LeafSignature, MergeRecord] = {}
-    negatives = 0
-    for i, j in pairs:
-        inserted, cap, child = _reduce(k, a, i, j)
-        l_value = min(parent_l, inserted)
-        assert child.max_value <= l_value + k - 1
-        if child.has_negative():
-            negatives += 1
-            continue
-        cands.setdefault(child, MergeRecord(a, a[i], a[j], inserted, cap, child, l_value))
-    kept = _dominated_filter(cands)
-    if stats is not None:
-        stats.signatures_generated += len(pairs)
-        stats.pruned_negative += negatives
-        stats.pruned_dominated += len(cands) - len(kept)
-    assert len(kept) <= k * (len(a) - 1)
-    return [cands[c] for c in sorted(kept)]
+    children = _expand(k, a, pairs, parent_l, stats)
+    return [_record(c, a, parent_l, p) for c, p in children.items()]
 
 
 def generate_children_naive(
@@ -209,25 +262,17 @@ def generate_children_fast(
     Among partners sharing a merge value, merging the smallest one leaves
     the largest leftover in the signature and therefore dominates the
     others, so only that representative pair per (i, value) class is
-    expanded.  Once a[j] - a[i] >= k - 2 the merge value is a[i] - 1 for
-    every later partner too, so the scan for i stops after that j.
+    expanded.  The value changes only where the gap a[j] - a[i] reaches
+    some t in range(k - 2, 0, -2), so the representatives are i + 1 and
+    the first partner at or past each such t, found by bisect; from a gap
+    of k - 2 on the value stays a[i] - 1.  Pairs of equal values are
+    reduced once: they give the same child and the same record.
     """
     validate_k(k)
     a = canonicalize(a)
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise InputError("child generation needs a signature of length >= 2")
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        ai = a[i]
-        best_j: dict[int, int] = {}
-        for j in range(i + 1, n):
-            # a[j] >= a[i]: position i is the min side of the pair
-            best_j.setdefault(_omega(k, ai, a[j]), j)
-            if a[j] - ai >= k - 2:
-                break
-        pairs.extend((i, j) for j in best_j.values())
-    return _generate(k, a, pairs, parent_l, stats)
+    return _generate(k, a, _pairs(k, a), parent_l, stats)
 
 
 def prune_level(level: LevelSet) -> LevelSet:
@@ -268,26 +313,29 @@ def _run_levels(
     levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
     for z in range(len(sig) - 1, 0, -1):
         parents = levels[-1].record_of
-        merged: dict[LeafSignature, MergeRecord] = {}
+        # child -> (parent, parent_l, provenance) of its first derivation
+        merged: dict[LeafSignature, tuple[LeafSignature, float, Provenance]] = {}
         for a in levels[-1].sorted_signatures():
             if check_time is not None:
                 check_time()
             parent_l = parents[a].l_value if parents else math.inf
-            for rec in generate_children_fast(k, a, parent_l=parent_l, stats=stats):
-                merged.setdefault(rec.child, rec)
+            for child, provenance in _expand(k, a, _pairs(k, a), parent_l, stats).items():
+                if child not in merged:
+                    merged[child] = (a, parent_l, provenance)
         # z >= 2 and len < 2**k imply len < z**k without building the bignum
         assert (z >= 2 and k >= len(merged).bit_length()) or len(merged) <= z**k
+        kept = list(merged)
         if config.prune_level_domination:
-            kept = _dominated_filter(merged, check_time)
+            kept = _dominated_filter(kept, check_time)
             stats.pruned_dominated += len(merged) - len(kept)
-            merged = {c: merged[c] for c in kept}
-        if config.max_level_size is not None and len(merged) > config.max_level_size:
+        if config.max_level_size is not None and len(kept) > config.max_level_size:
             raise LimitError(
-                f"level {z} holds {len(merged)} signatures, over the "
+                f"level {z} holds {len(kept)} signatures, over the "
                 f"limit of {config.max_level_size}"
             )
-        levels.append(LevelSet(z, frozenset(merged), merged))
-        if not merged:
+        record_of = {c: _record(c, *merged[c]) for c in kept}
+        levels.append(LevelSet(z, frozenset(record_of), record_of))
+        if not record_of:
             break
 
     stats.peak_level_size = max(len(level.signatures) for level in levels)

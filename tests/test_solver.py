@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
 from splittree.errors import InputError, LimitError
-from splittree.signature import canonicalize, is_dominated, omega, truncate
+from splittree.signature import _reduce, canonicalize, is_dominated, omega, truncate
 from splittree.solver import (
     LevelSet,
+    MergeRecord,
     SolverConfig,
     SolverStats,
     _dominated_filter,
     _generate,
+    _pairs,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -26,6 +28,23 @@ from splittree.solver import (
 
 def children_set(generator, k, sig):
     return {rec.child for rec in generator(k, canonicalize(sig))}
+
+
+def per_pair_generate(k, sig, pairs, parent_l):
+    """``_generate`` with every pair reduced on its own: no reuse of the
+    result of an equal value pair."""
+    stats = SolverStats(signatures_generated=len(pairs))
+    cands = {}
+    for i, j in pairs:
+        inserted, cap, child = _reduce(k, sig, i, j)
+        if child[0] < 0:
+            stats.pruned_negative += 1
+            continue
+        l_value = min(parent_l, inserted)
+        cands.setdefault(child, MergeRecord(sig, sig[i], sig[j], inserted, cap, child, l_value))
+    kept = _dominated_filter(cands)
+    stats.pruned_dominated = len(cands) - len(kept)
+    return [cands[c] for c in sorted(kept)], stats
 
 
 class TestGenerators:
@@ -87,6 +106,12 @@ class TestGenerators:
             k = rng.randint(2, 12)
             n = rng.choice([2, 3, 5, 8, 13, 30, 60, 200])
             cases.append((k, [rng.randint(0, rng.choice([k, 3 * k, n])) for _ in range(n)]))
+        for _ in range(40):  # heavy repeats: most value pairs occur many times
+            k, n = rng.randint(2, 12), rng.randint(30, 200)
+            cases.append((k, [rng.randint(0, 2) for _ in range(n)]))
+        for _ in range(40):  # small values, large k: mostly negative children
+            k, n = rng.randint(6, 20), rng.randint(2, 40)
+            cases.append((k, [rng.randint(0, 6) for _ in range(n)]))
         for k, values in cases:
             sig = canonicalize(values)
             pairs = []
@@ -100,6 +125,8 @@ class TestGenerators:
             expected = _generate(k, sig, pairs, parent_l, expected_stats)
             assert generate_children_fast(k, sig, parent_l, stats) == expected, (k, sig)
             assert stats == expected_stats, (k, sig)
+            assert _pairs(k, sig) == pairs, (k, sig)
+            assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
 
 
 class TestDominatedFilter:
@@ -302,6 +329,45 @@ class TestTraceLevels:
         rb = [lv.record_of[s] for lv in b for s in lv.sorted_signatures() if s in lv.record_of]
         assert ra == rb
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_public_replay_matches(self, prune):
+        # the level search rebuilt from generate_children_fast and prune_level,
+        # as the benchmark's per-layer replay does, gives the same levels,
+        # records (in the same order) and counters as the search itself
+        rng = random.Random(17)
+        config = SolverConfig(prune_level_domination=prune)
+        for _ in range(40):
+            k, n = rng.randint(2, 10), rng.randint(1, 14 if prune else 9)
+            depths = [rng.randint(0, 2 + n * k // 3) for _ in range(n)]
+            stats = SolverStats()
+            top = truncate(canonicalize(depths), (k - 1) * (n - 1))
+            replay = [LevelSet(n, frozenset({top}), {})]
+            dominated_level = 0
+            for z in range(n - 1, 0, -1):
+                parents = replay[-1].record_of
+                merged = {}
+                for a in replay[-1].sorted_signatures():
+                    parent_l = parents[a].l_value if parents else math.inf
+                    for rec in generate_children_fast(k, a, parent_l, stats):
+                        merged.setdefault(rec.child, rec)
+                level = LevelSet(z, frozenset(merged), merged)
+                if prune:
+                    level = prune_level(level)
+                    dominated_level += len(merged) - len(level.signatures)
+                replay.append(level)
+                if not merged:
+                    break
+
+            def flat(levels):
+                return [(lv.z, lv.signatures, list(lv.record_of.items())) for lv in levels]
+
+            assert flat(trace_levels(k, depths, config)) == flat(replay), (k, depths)
+            counters = decide(k, depths, config).stats
+            assert counters.signatures_generated == stats.signatures_generated
+            assert counters.pruned_negative == stats.pruned_negative
+            assert counters.pruned_dominated == stats.pruned_dominated + dominated_level
+            assert counters.peak_level_size == max(len(lv.signatures) for lv in replay)
+
 
 class TestLimits:
     def test_level_size_limit(self):
@@ -313,12 +379,13 @@ class TestLimits:
             decide(4, list(range(0, 60, 3)), SolverConfig(max_seconds=0.0))
 
     def test_time_limit_bounds_level_pruning(self):
-        # the level-wide domination pass on this instance runs for seconds;
-        # the limit must stop it, not just the next parent
+        # the level-wide domination pass on this instance runs for seconds
+        # and the whole search for several times the limit; the limit must
+        # stop it, not just the next parent
         h10 = [22, 26, 24, 27, 27, 24, 25, 23, 28, 26, 25, 21, 31, 31, 22, 23]
         start = time.perf_counter()
         with pytest.raises(LimitError):
-            decide(10, h10, SolverConfig(max_seconds=2.0))
+            decide(10, h10 + [24, 26], SolverConfig(max_seconds=2.0))
         assert 2.0 <= time.perf_counter() - start < 2.5
 
     def test_zero_level_size_is_a_limit(self):
