@@ -132,7 +132,8 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
         targets.remove(rec.merged_hi)
         rest.sort(key=lambda leaf: (leaf.leaf_label, leaf.node_id))
         for leaf, label in zip(rest, sorted(targets)):
-            assert leaf.leaf_label <= label
+            if leaf.leaf_label > label:  # labels only grow, even under -O
+                raise ValueError(f"leaf label {leaf.leaf_label} cannot drop to {label}")
             leaf.leaf_label = label
         leaves = rest + [lo, hi]
 
@@ -140,10 +141,12 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     # caller's original bounds
     final = sorted(leaves, key=lambda leaf: (leaf.leaf_label, leaf.node_id))
     for leaf, label in zip(final, sig):
-        assert leaf.leaf_label <= label
+        if leaf.leaf_label > label:
+            raise ValueError(f"leaf label {leaf.leaf_label} over its bound {label}")
         leaf.leaf_label = label
     for leaf in leaves:
-        assert leaf.depth <= leaf.leaf_label
+        if leaf.depth > leaf.leaf_label:
+            raise ValueError(f"leaf at depth {leaf.depth} over its bound {leaf.leaf_label}")
     return SplitTree(k, root)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
 from splittree.errors import InputError, LimitError
+from splittree.oracle import kraft_check
 from splittree.signature import _reduce, canonicalize, is_dominated, omega, truncate
 from splittree.solver import (
     LevelSet,
@@ -17,6 +18,7 @@ from splittree.solver import (
     SolverStats,
     _dominated_filter,
     _generate,
+    _level_filter,
     _pairs,
     decide,
     generate_children_fast,
@@ -24,6 +26,7 @@ from splittree.solver import (
     prune_level,
     trace_levels,
 )
+from splittree.treebuild import reconstruct, validate
 
 
 def children_set(generator, k, sig):
@@ -161,6 +164,38 @@ class TestDominatedFilter:
             kept = _dominated_filter(sigs, lambda: calls.append(None))
             assert kept == self.maximal(sigs), sigs
             assert len(calls) == len(sigs)
+
+
+class TestLevelFilter:
+    @staticmethod
+    def constant_lane_sets():
+        # the lowest `low` and the highest `high` lanes hold one value throughout
+        rng = random.Random(11)
+        for n in range(1, 10):
+            for low in range(n + 1):
+                for high in sorted({0, min(1, n - low), n - low}):
+                    mid = n - low - high
+                    yield sorted({canonicalize([0] * low + [rng.randint(1, 6) for _ in range(mid)]
+                                               + [7] * high) for _ in range(30)})
+
+    def test_matches_scan_and_brute_force(self, monkeypatch):
+        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)  # masks at every size
+        sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets())
+        for sigs in sets:
+            calls = []
+            kept = _level_filter(sigs, lambda: calls.append(None))
+            assert kept == _dominated_filter(sigs) == TestDominatedFilter.maximal(sigs), sigs
+            assert len(calls) == len(sigs)
+
+    def test_matches_scan_on_unpruned_levels(self, monkeypatch):
+        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)
+        rng = random.Random(23)
+        no_prune = SolverConfig(prune_level_domination=False)
+        for _ in range(12):
+            k, n = rng.randint(2, 10), rng.randint(2, 10)
+            depths = [rng.randint(0, 2 + n * k // 3) for _ in range(n)]
+            for level in trace_levels(k, depths, no_prune):
+                assert _level_filter(level.signatures) == _dominated_filter(level.signatures)
 
 
 class TestPruneLevel:
@@ -367,6 +402,58 @@ class TestTraceLevels:
             assert counters.pruned_negative == stats.pruned_negative
             assert counters.pruned_dominated == stats.pruned_dominated + dominated_level
             assert counters.peak_level_size == max(len(lv.signatures) for lv in replay)
+
+
+@st.composite
+def wide_instances(draw, ks, max_n):
+    """``(k, depths)`` with bounds spread over ``[0, (k-1)(n-1)]`` (larger
+    ones are slack): thin levels, so n = 40 stays fast at k = 6, and both
+    verdicts are common."""
+    k = draw(ks)
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    top = (k - 1) * (n - 1)
+    return k, draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+
+
+class TestPastTheOracles:
+    """Properties that need no oracle, checked at sizes the oracles cannot
+    reach.  Derandomized, so that their share of the suite's time is fixed."""
+
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=200))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_unit_edges_match_kraft(self, data, n):
+        # bounds near log2(n), where both verdicts occur
+        lo = max(0, n.bit_length() - 2)
+        depths = data.draw(st.lists(st.integers(lo, lo + 7), min_size=n, max_size=n))
+        assert decide(2, depths).realizable is kraft_check(depths)
+
+    @given(data=st.data(), instance=wide_instances(st.sampled_from((3, 4, 5, 6)), 40))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_permutation_invariance(self, data, instance):
+        k, depths = instance
+        shuffled = data.draw(st.permutations(depths))
+        first, second = decide(k, depths), decide(k, shuffled)
+        assert first.realizable is second.realizable
+        assert first.witness_chain == second.witness_chain
+
+    @given(data=st.data(), instance=wide_instances(st.sampled_from((2, 3, 4, 5, 6)), 30))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_raising_a_bound_keeps_realizable(self, data, instance):
+        k, depths = instance
+        if decide(k, depths).realizable:
+            raised = list(depths)
+            raised[data.draw(st.integers(0, len(depths) - 1))] += data.draw(st.integers(1, k))
+            assert decide(k, raised).realizable
+
+    @given(instance=wide_instances(st.sampled_from((2, 3, 4, 5, 6, 8)), 30))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_every_witness_builds_a_valid_tree(self, instance):
+        k, depths = instance
+        decision = decide(k, depths)
+        if decision.realizable:
+            tree = reconstruct(k, depths, decision.witness_chain)
+            report = validate(k, tree, depths)
+            assert report.valid, report.violations
 
 
 class TestLimits:

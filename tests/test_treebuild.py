@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,25 @@ class TestReconstruct:
         chain = decide(2, [2, 2, 2, 2]).witness_chain
         with pytest.raises(ValueError):
             reconstruct(2, [1, 2, 2], chain)
+
+    def test_rejects_label_drop_under_optimize(self):
+        # a forged chain that passes every structural check but would lower
+        # a leaf label below the leaf's depth; the check must survive -O
+        script = (
+            "from splittree.solver import MergeRecord\n"
+            "from splittree.treebuild import reconstruct\n"
+            "chain = [MergeRecord((0, 2, 2), 2, 2, 1, 0, (1, 1), 0),\n"
+            "         MergeRecord((1, 1), 1, 1, 0, 0, (0,), 0)]\n"
+            "try:\n"
+            "    reconstruct(2, [0, 2, 2], chain)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ValueError:"), proc.stdout
 
 
 class TestExport:
