@@ -44,8 +44,11 @@ def _load_instance(args: argparse.Namespace) -> tuple[int, LeafSignature]:
     if args.file:
         if k is not None or depths is not None:
             raise InputError("give either --file or --k/--depths, not both")
-        with open(args.file, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                lines = [line.strip() for line in handle if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.file}: not UTF-8 text: {exc}") from None
         if len(lines) < 2:
             raise InputError(f"{args.file}: expected k on line 1 and depths on line 2")
         try:
@@ -191,6 +194,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ks = [validate_k(int(p)) for p in args.ks.split(",")]
     except ValueError:
         raise InputError(f"--ks must list integers k >= 2, got {args.ks!r}") from None
+    if args.max_n < 1 or args.max_value < 0:
+        raise InputError(f"selftest needs --max-n >= 1 and --max-value >= 0, got "
+                         f"{args.max_n} and {args.max_value}")
     checked = 0
     for k, depths, verdicts in sweep(ks, args.max_n, args.max_value):
         if isinstance(verdicts, AssertionError):

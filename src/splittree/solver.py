@@ -10,10 +10,12 @@ realizable iff a non-negative singleton survives down at length 1.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, repeat, starmap
 from operator import itemgetter, lshift, or_
 from typing import Callable, Collection, Iterable
 
@@ -112,6 +114,17 @@ class SolverConfig:
                 raise InputError(f"{name} must be >= 0, got {value}")
 
 
+@lru_cache(maxsize=1024)
+def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
+    """``(pack, guard)`` for signatures of ``lanes`` values in
+    ``[0, 2**hi_bits)``: ``pack`` writes each value into a little-endian word
+    of the narrowest size whose top bit lies above them, ``guard`` is the
+    packed integer holding just the top bit of every word."""
+    size, code = next(w for w in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if hi_bits < w[0])
+    pack = struct.Struct(f"<{lanes}{code}").pack
+    return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
+
+
 def _dominated_filter(
     sigs: Iterable[LeafSignature], check_time: Callable[[], None] | None = None
 ) -> list[LeafSignature]:
@@ -122,28 +135,40 @@ def _dominated_filter(
     candidate be checked against the kept front only.  ``check_time``, if
     given, runs before each candidate is scanned.
 
-    Each signature is packed into one integer with ``v - lo`` in a lane of
-    ``(hi - lo).bit_length() + 1`` bits, ``lo``/``hi`` being the smallest and
-    largest value in the collection.  The top bit of every lane is a guard:
-    lane by lane, ``(packed(o) | guard) - packed(c)`` keeps its guard bit iff
-    ``c <= o`` there, and no lane borrows from the next, so ``c`` is
-    dominated by ``o`` iff the difference still holds every guard bit.
+    Each signature is packed into one integer of equal-width lanes whose top
+    bit is a guard that no lane value reaches: lane by lane,
+    ``(packed(o) | guard) - packed(c)`` keeps its guard bit iff ``c <= o``
+    there, and no lane borrows from the next, so ``c`` is dominated by ``o``
+    iff the difference still holds every guard bit.  When every value of the
+    collection lies in ``[0, 2**63)``, the lanes are the 8-, 16-, 32- or
+    64-bit machine words of the narrowest size whose top bit lies above the
+    largest value, built in one ``struct`` call per signature.  Otherwise a
+    lane holds ``v - lo`` in ``(hi - lo).bit_length() + 1`` bits, ``lo``/``hi``
+    being the smallest and largest value in the collection, built by one
+    shift per lane.  Sets of 0 or 1 signatures are returned unpacked.
     """
     order = sorted(sigs)
-    if not order:
-        return []
+    if len(order) < 2:
+        if order and check_time is not None:
+            check_time()
+        return order
     order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
     lo = min(map(itemgetter(0), order))
-    width = (max(map(itemgetter(-1), order)) - lo).bit_length() + 1
-    shifts = range(0, width * len(order[0]), width)
-    ones = sum(1 << shift for shift in shifts)
-    guard, offset = ones << (width - 1), lo * ones
+    hi = max(map(itemgetter(-1), order))
+    if lo >= 0 and hi < 1 << 63:
+        pack, guard = _word_packer(len(order[0]), hi.bit_length())
+        packs = map(int.from_bytes, starmap(pack, order), repeat("little"))
+    else:
+        width = (hi - lo).bit_length() + 1
+        shifts = range(0, width * len(order[0]), width)
+        ones = sum(1 << shift for shift in shifts)
+        guard, offset = ones << (width - 1), lo * ones
+        packs = (sum(map(lshift, c, shifts)) - offset for c in order)  # lanes of v - lo
     kept: list[LeafSignature] = []
     fronts: list[int] = []
-    for c in order:
+    for c, packed in zip(order, packs):
         if check_time is not None:
             check_time()
-        packed = sum(map(lshift, c, shifts)) - offset  # lanes of v - lo
         for front in fronts:
             if (front - packed) & guard == guard:
                 break

@@ -96,6 +96,13 @@ class TestDecide:
         code, _, _ = run_cli(capsys, "decide", "--file", "/nonexistent/instance.txt")
         assert code == 4
 
+    def test_non_utf8_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "instance.txt"
+        path.write_bytes(b"3\n1,\xff2\n")
+        code, out, err = run_cli(capsys, "decide", "--file", str(path))
+        assert code == 2
+        assert out == "" and "input error" in err and "UTF-8" in err
+
 
 class TestBuild:
     def test_json_tree_validates(self, capsys):
@@ -240,6 +247,13 @@ class TestSelftest:
                                  "--ks", "2,x")
         assert code == 2
         assert out == "" and "k >= 2" in err
+
+    @pytest.mark.parametrize("max_n,max_value", [("0", "4"), ("-1", "4"), ("2", "-1")])
+    def test_empty_sweep_exit_two(self, capsys, max_n, max_value):
+        code, out, err = run_cli(capsys, "selftest", "--max-n", max_n, "--max-value", max_value,
+                                 "--ks", "2")
+        assert code == 2
+        assert out == "" and "input error" in err
 
     def test_disagreement_exit_five(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "kraft_check", lambda d: False)

@@ -165,6 +165,37 @@ class TestDominatedFilter:
             assert kept == self.maximal(sigs), sigs
             assert len(calls) == len(sigs)
 
+    @staticmethod
+    def word_limit_sets():
+        """Sets whose largest value sits just below or at the top bit of an
+        8-, 16-, 32- or 64-bit word, the same sets moved down into negatives,
+        one-lane sets, and sets of one and of no signature."""
+        rng = random.Random(13)
+        yield []
+        for hi in (127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1, 2**63):
+            near = ((0, 3), (hi // 2 - 2, hi // 2 + 2), (hi - 3, hi))
+            for n in (1, 2, 3, 6):
+                sigs = {canonicalize([*[0] * (n - 1), hi])}
+                for _ in range(30):
+                    sigs.add(canonicalize(rng.randint(*rng.choice(near)) for _ in range(n)))
+                yield sorted(sigs)
+                yield sorted(canonicalize(v - hi // 2 for v in s) for s in sigs)
+                yield [max(sigs)]
+
+    @staticmethod
+    def shift_and_sum(sigs):
+        """The filter on its shift-and-sum lanes: moving every value down by
+        2**64 keeps domination and the presort order but rules the words out."""
+        down = _dominated_filter([canonicalize(v - 2**64 for v in s) for s in sigs])
+        return [canonicalize(v + 2**64 for v in s) for s in down]
+
+    def test_word_lanes_match_shift_and_sum(self):
+        for sigs in itertools.chain(self.word_limit_sets(), self.seeded_sets()):
+            calls = []
+            kept = _dominated_filter(sigs, lambda: calls.append(None))
+            assert kept == self.maximal(sigs) == self.shift_and_sum(sigs), sigs
+            assert len(calls) == len(sigs)
+
 
 class TestLevelFilter:
     @staticmethod
@@ -444,6 +475,18 @@ class TestPastTheOracles:
             raised = list(depths)
             raised[data.draw(st.integers(0, len(depths) - 1))] += data.draw(st.integers(1, k))
             assert decide(k, raised).realizable
+
+    @given(instance=wide_instances(st.sampled_from((2, 3, 4, 5, 6)), 30))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_removing_a_bound_keeps_realizable(self, instance):
+        # cut that leaf from a witness tree and contract its parent: no
+        # other leaf gets deeper
+        k, depths = instance
+        if len(depths) > 1 and decide(k, depths).realizable:
+            for value in set(depths):
+                removed = list(depths)
+                removed.remove(value)
+                assert decide(k, removed).realizable, (k, depths, value)
 
     @given(instance=wide_instances(st.sampled_from((2, 3, 4, 5, 6, 8)), 30))
     @settings(max_examples=40, deadline=None, derandomize=True)
