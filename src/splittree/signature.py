@@ -89,17 +89,20 @@ def is_dominated(a: LeafSignature, b: LeafSignature) -> bool:
     """True iff every bound of ``a`` is <= the matching bound of ``b``.
 
     Matching sorted positions realizes the best possible pairing, so this
-    is the multiset domination order.  Requires equal lengths.
+    is the multiset domination order.  Both are sorted first; requires equal
+    lengths.
     """
+    a, b = canonicalize(a), canonicalize(b)
     if len(a) != len(b):
         raise InputError(f"cannot compare signatures of lengths {len(a)} and {len(b)}")
     return all(x <= y for x, y in zip(a, b))
 
 
 def truncate(sig: LeafSignature, cap: int) -> LeafSignature:
-    """Replace every value above ``cap`` by ``cap``."""
+    """Sorted copy of ``sig`` with every value above ``cap`` replaced by ``cap``."""
+    sig = canonicalize(sig)
     if sig[-1] <= cap:
-        return canonicalize(sig)
+        return sig
     return LeafSignature(min(v, cap) for v in sig)
 
 

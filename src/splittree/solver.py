@@ -15,8 +15,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat, starmap
-from operator import itemgetter, lshift, or_
+from itertools import accumulate, chain, count, repeat, starmap
+from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, LimitError
@@ -52,7 +52,8 @@ class MergeRecord:
 class LevelSet:
     """Signatures of one length ``z`` surviving so far, with one record each.
 
-    The input level has an empty record map.  ``|signatures| <= z**k`` is
+    The input level has an empty record map.  Every signature must have
+    length ``z`` (InputError otherwise).  ``|signatures| <= z**k`` is
     asserted by the solver when the level is built.
     """
 
@@ -61,7 +62,8 @@ class LevelSet:
     record_of: dict[LeafSignature, MergeRecord]
 
     def __post_init__(self) -> None:
-        assert all(len(sig) == self.z for sig in self.signatures)
+        if any(len(sig) != self.z for sig in self.signatures):
+            raise InputError(f"every signature of level {self.z} must have length {self.z}")
 
     def sorted_signatures(self) -> list[LeafSignature]:
         return sorted(self.signatures)
@@ -139,13 +141,12 @@ def _dominated_filter(
     bit is a guard that no lane value reaches: lane by lane,
     ``(packed(o) | guard) - packed(c)`` keeps its guard bit iff ``c <= o``
     there, and no lane borrows from the next, so ``c`` is dominated by ``o``
-    iff the difference still holds every guard bit.  When every value of the
-    collection lies in ``[0, 2**63)``, the lanes are the 8-, 16-, 32- or
-    64-bit machine words of the narrowest size whose top bit lies above the
-    largest value, built in one ``struct`` call per signature.  Otherwise a
-    lane holds ``v - lo`` in ``(hi - lo).bit_length() + 1`` bits, ``lo``/``hi``
-    being the smallest and largest value in the collection, built by one
-    shift per lane.  Sets of 0 or 1 signatures are returned unpacked.
+    iff the difference still holds every guard bit.  The lanes are the 8-,
+    16-, 32- or 64-bit machine words of the narrowest size whose top bit lies
+    above the largest value, built in one ``struct`` call per signature.  A
+    collection holding a value outside ``[0, 2**63)`` is packed by rank among
+    its distinct values instead, which keeps every lane comparison.  Sets of
+    0 or 1 signatures are returned unpacked.
     """
     order = sorted(sigs)
     if len(order) < 2:
@@ -153,17 +154,14 @@ def _dominated_filter(
             check_time()
         return order
     order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
-    lo = min(map(itemgetter(0), order))
+    lanes = order
     hi = max(map(itemgetter(-1), order))
-    if lo >= 0 and hi < 1 << 63:
-        pack, guard = _word_packer(len(order[0]), hi.bit_length())
-        packs = map(int.from_bytes, starmap(pack, order), repeat("little"))
-    else:
-        width = (hi - lo).bit_length() + 1
-        shifts = range(0, width * len(order[0]), width)
-        ones = sum(1 << shift for shift in shifts)
-        guard, offset = ones << (width - 1), lo * ones
-        packs = (sum(map(lshift, c, shifts)) - offset for c in order)  # lanes of v - lo
+    if min(map(itemgetter(0), order)) < 0 or hi >= 1 << 63:
+        rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
+        lanes = [tuple(map(rank.__getitem__, c)) for c in order]
+        hi = len(rank) - 1
+    pack, guard = _word_packer(len(order[0]), hi.bit_length())
+    packs = map(int.from_bytes, starmap(pack, lanes), repeat("little"))
     kept: list[LeafSignature] = []
     fronts: list[int] = []
     for c, packed in zip(order, packs):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, LimitError
 from .signature import canonicalize, omega, validate_k
 from .solver import MergeRecord, _start_signature, _validate_instance
 
@@ -246,9 +246,17 @@ def _node_from_dict(data: dict) -> TreeNode:
 
 
 def export_tree(tree: SplitTree, format: str = "json") -> str:
-    """Serialize the tree deterministically as JSON or Graphviz DOT."""
+    """Serialize the tree deterministically as JSON or Graphviz DOT.
+
+    The JSON writer recurses once per tree level or more; a tree deeper than
+    the interpreter's recursion limit allows raises LimitError.  The DOT
+    writer has no such limit.
+    """
     if format == "json":
-        return json.dumps({"k": tree.k, "root": _node_to_dict(tree.root)}, indent=2)
+        try:
+            return json.dumps({"k": tree.k, "root": _node_to_dict(tree.root)}, indent=2)
+        except RecursionError:
+            raise LimitError("tree too deep for JSON export; use --format dot") from None
     if format == "dot":
         lines = ["digraph splittree {"]
         order = list(_preorder(tree.root))

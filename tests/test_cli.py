@@ -147,6 +147,14 @@ class TestBuild:
         assert code == 0
         assert out.count('[label="1"]') == 2
 
+    def test_too_deep_for_json_exit_three(self, capsys):
+        # a k = 2 caterpillar of 339 levels: too deep for the JSON writer under
+        # the default recursion limit
+        depths = ",".join(map(str, [*range(1, 340), 339]))
+        code, out, err = run_cli(capsys, "build", "--k", "2", "--depths", depths)
+        assert code == 3
+        assert out == "" and "--format dot" in err
+
 
 class TestTrace:
     def test_reference_text(self, capsys):

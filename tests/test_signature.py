@@ -106,6 +106,10 @@ class TestDomination:
         with pytest.raises(InputError):
             is_dominated(canonicalize([1]), canonicalize([1, 2]))
 
+    def test_unsorted_arguments_compare_as_multisets(self):
+        assert is_dominated((2, 1), (1, 2))
+        assert not is_dominated((9, 0), (1, 8))
+
     def test_partial_order_reflexive_antisymmetric(self):
         sigs = [
             canonicalize(c)
@@ -140,6 +144,10 @@ class TestTruncate:
 
     def test_zero_identity(self):
         assert truncate(canonicalize([0]), 0) == (0,)
+
+    def test_unsorted_input_is_sorted_and_cut(self):
+        assert truncate([3, 1], 2) == (1, 2)
+        assert truncate([3, 1], 5) == (1, 3)
 
     @given(
         vals_a=st.lists(ints, min_size=1, max_size=6),

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
 from splittree.errors import InputError, LimitError
-from splittree.oracle import kraft_check
+from splittree.oracle import kraft_check, oracle_recursive
 from splittree.signature import _reduce, canonicalize, is_dominated, omega, truncate
 from splittree.solver import (
     LevelSet,
@@ -183,17 +187,17 @@ class TestDominatedFilter:
                 yield [max(sigs)]
 
     @staticmethod
-    def shift_and_sum(sigs):
-        """The filter on its shift-and-sum lanes: moving every value down by
-        2**64 keeps domination and the presort order but rules the words out."""
+    def rank_lanes(sigs):
+        """The filter on value ranks: moving every value down by 2**64 keeps
+        domination and the presort order but rules the raw-value words out."""
         down = _dominated_filter([canonicalize(v - 2**64 for v in s) for s in sigs])
         return [canonicalize(v + 2**64 for v in s) for s in down]
 
-    def test_word_lanes_match_shift_and_sum(self):
+    def test_word_lanes_match_rank_lanes(self):
         for sigs in itertools.chain(self.word_limit_sets(), self.seeded_sets()):
             calls = []
             kept = _dominated_filter(sigs, lambda: calls.append(None))
-            assert kept == self.maximal(sigs) == self.shift_and_sum(sigs), sigs
+            assert kept == self.maximal(sigs) == self.rank_lanes(sigs), sigs
             assert len(calls) == len(sigs)
 
 
@@ -253,6 +257,26 @@ class TestPruneLevel:
         level = self._level([[0, 9], [3, 5], [4, 4]])
         assert len(prune_level(level).signatures) == 3
 
+    def test_rejects_wrong_length_under_optimize(self):
+        # a short signature must not be dropped silently when asserts are off
+        script = (
+            "import itertools\n"
+            "from splittree.errors import InputError\n"
+            "from splittree.signature import canonicalize\n"
+            "from splittree.solver import LevelSet, prune_level\n"
+            "sigs = list(itertools.combinations_with_replacement(range(11), 3))[:200]\n"
+            "sigs = frozenset(map(canonicalize, [*sigs, [0]]))\n"
+            "try:\n"
+            "    print(prune_level(LevelSet(3, sigs, {})).signatures)\n"
+            "except InputError as exc:\n"
+            "    print('InputError:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("InputError:"), proc.stdout
+
 
 class TestDecide:
     def test_reference_instance(self):
@@ -282,6 +306,23 @@ class TestDecide:
             decide(2, [3, -1])
         with pytest.raises(InputError):
             decide(0, [3])
+
+    def test_huge_k_matches_recursive_oracle(self):
+        # values past 2**63 send the domination scan to its rank lanes
+        rng = random.Random(31)
+        verdicts, crowded = set(), 0
+        for _ in range(100):
+            k, n = 2**64 + rng.randint(2, 6), rng.randint(2, 6)
+            top = (k - 1) * (n - 1)
+            depths = [rng.randint(0, top) for _ in range(n)]
+            verdict = decide(k, depths).realizable
+            assert verdict is oracle_recursive(k, depths), (k, depths)
+            verdicts.add(verdict)
+            for level in trace_levels(k, depths):
+                sigs = sorted(level.signatures)
+                assert sorted(TestDominatedFilter.maximal(sigs)) == sigs, (k, depths)
+                crowded += sum(s[-1] >= 2**63 for s in sigs) >= 2
+        assert verdicts == {True, False} and crowded
 
     def test_witness_chain_links_up(self):
         decision = decide(REFERENCE_K, REFERENCE_DEPTHS)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K
-from splittree.errors import InputError
+from splittree.errors import InputError, LimitError
 from splittree.signature import canonicalize, omega
 from splittree.solver import decide
 from splittree.treebuild import (
@@ -67,6 +67,17 @@ class TestChildEdgeLengths:
                         assert p + a <= d_lo and p + b <= d_hi
 
 
+def caterpillar(levels: int) -> SplitTree:
+    """Unlabeled k = 2 tree: a spine of ``levels`` internal vertices, each
+    with one leaf child, so leaf depths 1, 2, ..., levels and levels."""
+    root = node = TreeNode(0, 0)
+    for depth in range(1, levels + 1):
+        spine = TreeNode(2 * depth, depth)
+        node.children = [(1, TreeNode(2 * depth - 1, depth)), (1, spine)]
+        node = spine
+    return SplitTree(2, root)
+
+
 class TestValidate:
     def test_reference_tree_is_valid(self):
         report = validate(REFERENCE_K, reference_tree(), REFERENCE_DEPTHS)
@@ -104,19 +115,12 @@ class TestValidate:
         assert not report.valid
 
     def test_relabel_deep_caterpillar(self):
-        # a spine of 299 internal vertices, each with one leaf child
-        root = node = TreeNode(0, 0)
-        for i in range(299):
-            leaf = TreeNode(2 * i + 1, node.depth + 1)
-            spine = TreeNode(2 * i + 2, node.depth + 1)
-            node.children = [(1, leaf), (1, spine)]
-            node = spine
-        tree = SplitTree(2, root)
+        tree = caterpillar(299)
         bounds = [leaf.depth for leaf in tree.leaves()]
         copy = relabel(tree, bounds)
         assert validate(2, copy, bounds).valid
         assert [leaf.depth for leaf in copy.leaves()] == bounds
-        assert copy.root is not root
+        assert copy.root is not tree.root
         assert all(leaf.leaf_label is None for leaf in tree.leaves())
 
     def test_relabel_refuses_too_tight_bounds(self):
@@ -199,6 +203,13 @@ class TestReconstruct:
 
 
 class TestExport:
+    def test_deep_tree_json_raises_limit_error(self):
+        tree = caterpillar(400)
+        assert validate(2, tree, [*range(1, 401), 400]).valid
+        with pytest.raises(LimitError, match="--format dot"):
+            export_tree(tree, "json")
+        assert export_tree(tree, "dot").count(" -> ") == 2 * 400
+
     def test_single_vertex_json(self):
         tree = reconstruct(2, [0], [])
         data = json.loads(export_tree(tree, "json"))
@@ -217,6 +228,7 @@ class TestExport:
             reference_tree(),
             reconstruct(REFERENCE_K, REFERENCE_DEPTHS, decide(REFERENCE_K, REFERENCE_DEPTHS).witness_chain),
             reconstruct(2, [0], []),
+            caterpillar(100),
         ):
             assert parse_tree(export_tree(tree, "json")) == tree
 
