@@ -5,13 +5,17 @@ Two checkouts that print the same digest give the same level sets, records
 instances of ``bench/pool.json``:
 
     python3 scripts/pool_hash.py
+    python3 scripts/pool_hash.py --expect HEX
 
-It takes about a minute on a 2-core machine.  It imports the ``src/`` of
-the checkout it sits in, never an installed copy.
+With ``--expect HEX`` it also compares the digest with ``HEX``; on a
+mismatch it prints both digests and exits 1.  It takes about a minute on a
+2-core machine.  It imports the ``src/`` of the checkout it sits in, never
+an installed copy.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -55,6 +59,9 @@ def outcome(k: int, depths: list[int], prune: bool) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="HEX", help="the digest the outputs must give")
+    args = parser.parse_args()
     with open(ROOT / "bench" / "pool.json", encoding="utf-8") as handle:
         pool = json.load(handle)
     digest = hashlib.sha256()
@@ -64,6 +71,9 @@ def main() -> None:
             digest.update(outcome(k, depths, prune).encode())
         count += 1
     print(f"{digest.hexdigest()}  ({count} instances)")
+    if args.expect is not None and args.expect.lower() != digest.hexdigest():
+        print(f"mismatch: expected {args.expect}, got {digest.hexdigest()}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -112,6 +112,10 @@ def _reduce(k: int, a: LeafSignature, i: int, j: int) -> tuple[int, int, LeafSig
     Values are cut to cap = w + k - 1 for merge value w (no leaf sits more
     than k-1 below the deepest internal vertex), and a singleton child to 0
     (its leaf is the root).  ``inserted`` is w cut to the cap.
+
+    The solver's search builds the same child inline from slices of the
+    parent (``solver._expand``); this list-built step is the reference the
+    tests compare that against.
     """
     w = _omega(k, a[i], a[j])
     cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)

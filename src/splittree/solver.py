@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, count, repeat, starmap
@@ -22,7 +22,6 @@ from typing import Callable, Collection, Iterable
 from .errors import InputError, LimitError
 from .signature import (
     LeafSignature,
-    _reduce,
     canonicalize,
     truncate,
     validate_k,
@@ -258,7 +257,21 @@ def _expand(
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
+
+    Each child is ``signature._reduce(k, a, i, j)`` built from slices of the
+    sorted parent, which needs ``i < j`` (every pair of ``_pairs`` and of
+    ``generate_children_naive`` has it).  For merge value ``w`` and, from
+    length 3 on, ``cap = w + k - 1``:
+    - ``w <= a[i] - 1``, so ``w`` goes in before position ``i``, at
+      ``p = bisect_right(a, w, 0, i)``;
+    - ``a[i] <= w + ceil(k/2) <= cap``, so the values cut to ``cap`` start
+      after ``i``, at ``q = bisect_right(a, cap, i)``;
+    - with ``i < j``, ``a[j]`` leaves the kept middle if ``q > j`` and the
+      cut tail, one ``cap`` shorter, otherwise.
+    A length-2 parent gives the singleton ``min(w, cap)`` with
+    ``cap = min(w + k - 1, 0)``.
     """
+    n = len(a)
     cands: dict[LeafSignature, Provenance] = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
@@ -266,11 +279,24 @@ def _expand(
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
         if negative is None:
-            inserted, cap, child = _reduce(k, a, i, j)
-            assert child.max_value <= min(parent_l, inserted) + k - 1
-            negative = negative_of[lo, hi] = child.has_negative()
+            w = lo - max(1, (k - hi + lo + 1) // 2)  # _omega(k, lo, hi), as lo <= hi
+            if n == 2:
+                cap = min(w + k - 1, 0)
+                w = min(w, cap)
+                child = (w,)
+            else:
+                cap = w + k - 1
+                p = bisect_right(a, w, 0, i)
+                q = bisect_right(a, cap, i)
+                if q > j:
+                    child = a[:p] + (w,) + a[p:i] + a[i + 1 : j] + a[j + 1 : q] + (cap,) * (n - q)
+                else:
+                    child = a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
+            child = tuple.__new__(LeafSignature, child)
+            assert child[-1] <= min(parent_l, w) + k - 1
+            negative = negative_of[lo, hi] = child[0] < 0
             if not negative and child not in cands:
-                cands[child] = (lo, hi, inserted, cap)
+                cands[child] = (lo, hi, w, cap)
         negatives += negative
     kept = _dominated_filter(cands)
     if stats is not None:

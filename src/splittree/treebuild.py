@@ -277,6 +277,16 @@ def export_tree(tree: SplitTree, format: str = "json") -> str:
 
 
 def parse_tree(text: str) -> SplitTree:
-    """Inverse of export_tree(..., 'json')."""
-    data = json.loads(text)
-    return SplitTree(k=data["k"], root=_node_from_dict(data["root"]))
+    """Inverse of export_tree(..., 'json').
+
+    Text that is not such a tree raises InputError.  The reader recurses once
+    per nesting level, so a tree deeper than the interpreter's recursion
+    limit allows raises LimitError, as in ``export_tree``.
+    """
+    try:
+        data = json.loads(text)
+        return SplitTree(k=data["k"], root=_node_from_dict(data["root"]))
+    except RecursionError:
+        raise LimitError("tree too deep for JSON import") from None
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"not a split tree in JSON: {exc!r}") from None

@@ -119,6 +119,19 @@ class TestGenerators:
         for _ in range(40):  # small values, large k: mostly negative children
             k, n = rng.randint(6, 20), rng.randint(2, 40)
             cases.append((k, [rng.randint(0, 6) for _ in range(n)]))
+        for k in (2**64 + 2, 2**64 + 3):  # values from 2**63 up
+            for n in (2, 3, 5, 9, 16):
+                cases.append((k, [rng.randint(2**63, 2**63 + 2 * k) for _ in range(n)]))
+        # length 2: negative singletons, and non-negative ones cut to 0
+        cases += [(2, [0, 0]), (2, [0, 1]), (6, [1, 2]), (7, [3, 4]), (2, [5, 5]), (7, [3, 9])]
+        for _ in range(30):  # wide spread: partners at a gap >= k - 1 lie above the cap
+            k, n = rng.randint(2, 6), rng.randint(3, 12)
+            cases.append((k, [rng.randint(k, 12 * k) for _ in range(n)]))
+        for _ in range(30):  # equal-value pairs, with partners on both sides of the cap
+            k, n = rng.randint(2, 8), rng.randint(3, 14)
+            base = rng.randint(k, 3 * k)
+            cases.append((k, [rng.choice((base, base, base + 1, base + k - 1, base + 2 * k))
+                              for _ in range(n)]))
         for k, values in cases:
             sig = canonicalize(values)
             pairs = []
@@ -550,13 +563,13 @@ class TestLimits:
             decide(4, list(range(0, 60, 3)), SolverConfig(max_seconds=0.0))
 
     def test_time_limit_bounds_level_pruning(self):
-        # the level-wide domination pass on this instance runs for seconds
-        # and the whole search for several times the limit; the limit must
-        # stop it, not just the next parent
+        # the search on this instance runs for several times the limit, with
+        # level-wide passes over thousands of signatures; the limit must stop
+        # it, not just the next parent
         h10 = [22, 26, 24, 27, 27, 24, 25, 23, 28, 26, 25, 21, 31, 31, 22, 23]
         start = time.perf_counter()
         with pytest.raises(LimitError):
-            decide(10, h10 + [24, 26], SolverConfig(max_seconds=2.0))
+            decide(10, h10 + [24, 26, 25, 23, 27, 24], SolverConfig(max_seconds=2.0))
         assert 2.0 <= time.perf_counter() - start < 2.5
 
     def test_zero_level_size_is_a_limit(self):

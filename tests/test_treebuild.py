@@ -78,6 +78,21 @@ def caterpillar(levels: int) -> SplitTree:
     return SplitTree(2, root)
 
 
+def caterpillar_json(levels: int) -> str:
+    """``export_tree(caterpillar(levels), "json")`` up to whitespace, written
+    inside out without recursion, so also for trees the writer cannot take."""
+    def node(node_id: int, depth: int, children: str = "") -> str:
+        return (f'{{"id": {node_id}, "depth": {depth}, "leaf_label": null, '
+                f'"children": [{children}]}}')
+
+    text = node(2 * levels, levels)
+    for depth in range(levels, 0, -1):
+        leaf = node(2 * depth - 1, depth)
+        edges = f'{{"edge_length": 1, "node": {leaf}}}, {{"edge_length": 1, "node": {text}}}'
+        text = node(2 * depth - 2, depth - 1, edges)
+    return f'{{"k": 2, "root": {text}}}'
+
+
 class TestValidate:
     def test_reference_tree_is_valid(self):
         report = validate(REFERENCE_K, reference_tree(), REFERENCE_DEPTHS)
@@ -231,6 +246,17 @@ class TestExport:
             caterpillar(100),
         ):
             assert parse_tree(export_tree(tree, "json")) == tree
+        assert parse_tree(caterpillar_json(100)) == caterpillar(100)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("[", InputError), ('{"k": 2}', InputError), ("null", InputError),
+         (caterpillar_json(400), LimitError)],
+        ids=["truncated", "no-root", "null", "400-levels"],
+    )
+    def test_parse_rejects_with_library_errors(self, text, error):
+        with pytest.raises(error):
+            parse_tree(text)
 
     def test_deterministic(self):
         tree = reference_tree()
