@@ -1,10 +1,11 @@
-"""Leaf signatures and the primitive operations on them.
+"""Leaf signatures and the checked public primitives on them.
 
 A leaf signature is a multiset of integer depth bounds, kept in sorted
-non-decreasing order.  Everything else in the library (solver, oracles,
-tree reconstruction) is built from the four primitives here: the merge
+non-decreasing order.  The primitives here check their inputs: the merge
 value ``omega``, domination, truncation, and the single reduction step
-``merge_reduce``.
+``merge_reduce``.  The solver's search builds its children inline
+(``solver._expand``); ``_reduce``, the unchecked step behind
+``merge_reduce``, is the reference the tests check the search against.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class LeafSignature(tuple):
     def min_value(self) -> int:
         return self[0]
 
-    def has_negative(self) -> bool:
-        return self[0] < 0
-
 
 def canonicalize(values: Iterable[int]) -> LeafSignature:
     """Sorted copy of ``values`` as a LeafSignature. Idempotent."""
@@ -71,15 +69,6 @@ def omega(k: int, a1: int, a2: int) -> int:
     [min(a1,a2) - ceil(k/2), min(a1,a2) - 1].
     """
     validate_k(k)
-    return _omega(k, a1, a2)
-
-
-def _omega(k: int, a1: int, a2: int) -> int:
-    """``omega`` without the check on ``k``.
-
-    Once |a1 - a2| >= k - 2 the result is min(a1, a2) - 1 and stays there
-    as the gap grows, which lets ``generate_children_fast`` stop its scan.
-    """
     gap = k - abs(a1 - a2)
     # (gap + 1) // 2 is ceil(gap / 2) for any integer gap
     return min(a1, a2) - max(1, (gap + 1) // 2)
@@ -107,17 +96,18 @@ def truncate(sig: LeafSignature, cap: int) -> LeafSignature:
 
 
 def _reduce(k: int, a: LeafSignature, i: int, j: int) -> tuple[int, int, LeafSignature]:
-    """``merge_reduce`` without input checks, as ``(inserted, cap, child)``.
+    """``merge_reduce`` without checks on ``a``, ``i`` and ``j``, as
+    ``(inserted, cap, child)``.
 
     Values are cut to cap = w + k - 1 for merge value w (no leaf sits more
     than k-1 below the deepest internal vertex), and a singleton child to 0
     (its leaf is the root).  ``inserted`` is w cut to the cap.
 
-    The solver's search builds the same child inline from slices of the
-    parent (``solver._expand``); this list-built step is the reference the
-    tests compare that against.
+    The search does not call this: ``solver._expand`` builds the same child
+    inline from slices of the parent.  This list-built step is the
+    reference the tests check the search against.
     """
-    w = _omega(k, a[i], a[j])
+    w = omega(k, a[i], a[j])
     cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)
     inserted = min(w, cap)
     rest = list(a)

@@ -51,9 +51,9 @@ class MergeRecord:
 class LevelSet:
     """Signatures of one length ``z`` surviving so far, with one record each.
 
-    The input level has an empty record map.  Every signature must have
-    length ``z`` (InputError otherwise).  ``|signatures| <= z**k`` is
-    asserted by the solver when the level is built.
+    The input level has an empty record map.  Every signature must be
+    sorted and have length ``z`` (InputError otherwise).  ``|signatures|
+    <= z**k`` is asserted by the solver when the level is built.
     """
 
     z: int
@@ -61,8 +61,11 @@ class LevelSet:
     record_of: dict[LeafSignature, MergeRecord]
 
     def __post_init__(self) -> None:
-        if any(len(sig) != self.z for sig in self.signatures):
-            raise InputError(f"every signature of level {self.z} must have length {self.z}")
+        if any(
+            not (isinstance(sig, LeafSignature) or list(sig) == sorted(sig)) or len(sig) != self.z
+            for sig in self.signatures
+        ):
+            raise InputError(f"level {self.z} takes only sorted signatures of length {self.z}")
 
     def sorted_signatures(self) -> list[LeafSignature]:
         return sorted(self.signatures)
@@ -249,7 +252,7 @@ def _expand(
     a: LeafSignature,
     pairs: list[tuple[int, int]],
     parent_l: float,
-    stats: SolverStats | None,
+    stats: SolverStats,
 ) -> dict[LeafSignature, Provenance]:
     """The undominated non-negative children of ``a`` over ``pairs``, in
     sorted order, each with the ``(merged_lo, merged_hi, omega, cap)`` of its
@@ -279,7 +282,7 @@ def _expand(
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
         if negative is None:
-            w = lo - max(1, (k - hi + lo + 1) // 2)  # _omega(k, lo, hi), as lo <= hi
+            w = lo - max(1, (k - hi + lo + 1) // 2)  # signature.omega(k, lo, hi), as lo <= hi
             if n == 2:
                 cap = min(w + k - 1, 0)
                 w = min(w, cap)
@@ -299,10 +302,9 @@ def _expand(
                 cands[child] = (lo, hi, w, cap)
         negatives += negative
     kept = _dominated_filter(cands)
-    if stats is not None:
-        stats.signatures_generated += len(pairs)
-        stats.pruned_negative += negatives
-        stats.pruned_dominated += len(cands) - len(kept)
+    stats.signatures_generated += len(pairs)
+    stats.pruned_negative += negatives
+    stats.pruned_dominated += len(cands) - len(kept)
     assert len(kept) <= k * (len(a) - 1)
     kept.sort()
     return {c: cands[c] for c in kept}
@@ -322,7 +324,7 @@ def _generate(
     parent_l: float,
     stats: SolverStats | None,
 ) -> list[MergeRecord]:
-    children = _expand(k, a, pairs, parent_l, stats)
+    children = _expand(k, a, pairs, parent_l, stats or SolverStats())
     return [_record(c, a, parent_l, p) for c, p in children.items()]
 
 

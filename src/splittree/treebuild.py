@@ -233,13 +233,22 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _node_from_dict(data: dict) -> TreeNode:
+    label = data["leaf_label"]
+    if not isinstance(data["children"], list):
+        raise TypeError(f"children must be a list, got {data['children']!r}")
     return TreeNode(
-        node_id=data["id"],
-        depth=data["depth"],
-        leaf_label=data["leaf_label"],
+        node_id=_integer(data["id"], "id"),
+        depth=_integer(data["depth"], "depth"),
+        leaf_label=None if label is None else _integer(label, "leaf_label"),
         children=[
-            (entry["edge_length"], _node_from_dict(entry["node"]))
+            (_integer(entry["edge_length"], "edge_length"), _node_from_dict(entry["node"]))
             for entry in data["children"]
         ],
     )
@@ -249,8 +258,10 @@ def export_tree(tree: SplitTree, format: str = "json") -> str:
     """Serialize the tree deterministically as JSON or Graphviz DOT.
 
     The JSON writer recurses once per tree level or more; a tree deeper than
-    the interpreter's recursion limit allows raises LimitError.  The DOT
-    writer has no such limit.
+    the interpreter's recursion limit allows raises LimitError.  The frames
+    already on the caller's stack count against that limit too, so a tree
+    that exports from the top level of a script may fail from deeper inside
+    other code.  The DOT writer has no such limit.
     """
     if format == "json":
         try:
@@ -279,13 +290,15 @@ def export_tree(tree: SplitTree, format: str = "json") -> str:
 def parse_tree(text: str) -> SplitTree:
     """Inverse of export_tree(..., 'json').
 
-    Text that is not such a tree raises InputError.  The reader recurses once
-    per nesting level, so a tree deeper than the interpreter's recursion
-    limit allows raises LimitError, as in ``export_tree``.
+    Text that is not such a tree, or whose ``k``, ids, depths, edge lengths
+    or leaf labels are not integers (labels may be null), raises InputError.
+    The reader recurses once per nesting level, so a tree deeper than the
+    interpreter's recursion limit allows raises LimitError, as in
+    ``export_tree``.
     """
     try:
         data = json.loads(text)
-        return SplitTree(k=data["k"], root=_node_from_dict(data["root"]))
+        return SplitTree(k=_integer(data["k"], "k"), root=_node_from_dict(data["root"]))
     except RecursionError:
         raise LimitError("tree too deep for JSON import") from None
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError

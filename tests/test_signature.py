@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from splittree.errors import InputError
 from splittree.signature import (
     LeafSignature,
-    _omega,
     _reduce,
     canonicalize,
     is_dominated,
@@ -66,7 +65,7 @@ class TestOmega:
         for k in range(2, 13):
             for a in range(-5, 6):
                 for b in range(a + max(k - 2, 0), a + 3 * k):
-                    assert _omega(k, a, b) == omega(k, a, b) == a - 1
+                    assert omega(k, a, b) == a - 1
 
 
 class TestCanonicalize:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,31 @@ def per_pair_generate(k, sig, pairs, parent_l):
     return [cands[c] for c in sorted(kept)], stats
 
 
+def search_digest():
+    """sha256 over ``decide`` and ``trace_levels`` on the reference instance
+    (with and without level-wide pruning), a ``k=2`` chain of 200 bounds and
+    a narrow-window ``k=10`` instance whose levels reach the bit-mask filter:
+    verdicts, witness chains, counters without the wall time, and every
+    level's signatures and records in order."""
+    rng = random.Random(1)
+    instances = [
+        (REFERENCE_K, REFERENCE_DEPTHS, SolverConfig()),
+        (REFERENCE_K, REFERENCE_DEPTHS, SolverConfig(prune_level_domination=False)),
+        (2, [rng.randint(0, 199) for _ in range(200)], SolverConfig()),
+        (10, [13, 16, 18, 18, 18, 12, 14, 12, 15, 18, 15, 15, 17, 15], SolverConfig()),
+    ]
+    digest = hashlib.sha256()
+    for k, depths, config in instances:
+        decision = decide(k, depths, config)
+        stats = asdict(decision.stats)
+        del stats["wall_time_s"]
+        levels = [(level.z, level.sorted_signatures(), list(level.record_of.items()))
+                  for level in trace_levels(k, depths, config)]
+        outcome = (decision.realizable, decision.witness_chain, sorted(stats.items()), levels)
+        digest.update(repr(outcome).encode())
+    return digest.hexdigest()
+
+
 class TestGenerators:
     def test_reference_children(self):
         expected = REFERENCE_LEVELS[5]
@@ -96,8 +123,9 @@ class TestGenerators:
             assert len(generate_children_fast(k, sig)) <= k * (n - 1)
 
     def test_rejects_singleton(self):
-        with pytest.raises(InputError):
-            generate_children_naive(2, canonicalize([4]))
+        for generate in (generate_children_naive, generate_children_fast):
+            with pytest.raises(InputError):
+                generate(2, canonicalize([4]))
 
     def test_candidates_are_sorted_and_negative_free(self):
         recs = generate_children_naive(6, canonicalize([0, 1, 5, 9]))
@@ -270,6 +298,13 @@ class TestPruneLevel:
         level = self._level([[0, 9], [3, 5], [4, 4]])
         assert len(prune_level(level).signatures) == 3
 
+    def test_rejects_unsorted_signature(self):
+        # lanes compare by position, so the unsorted (4, 1) would hide that
+        # (1, 3) is dominated by (1, 4)
+        with pytest.raises(InputError):
+            prune_level(LevelSet(2, frozenset({(4, 1), (1, 3)}), {}))
+        assert prune_level(self._level([[4, 1], [1, 3]])).signatures == {(1, 4)}
+
     def test_rejects_wrong_length_under_optimize(self):
         # a short signature must not be dropped silently when asserts are off
         script = (
@@ -296,6 +331,16 @@ class TestDecide:
         decision = decide(REFERENCE_K, REFERENCE_DEPTHS)
         assert decision.realizable
         assert len(decision.witness_chain) == 5
+
+    def test_same_outputs_under_optimize(self):
+        # no output of the search may depend on asserts being on
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        script = "from test_solver import search_digest\nprint(__debug__, search_digest())\n"
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", search_digest()]
 
     @pytest.mark.parametrize(
         "k,depths,expected",

@@ -251,8 +251,14 @@ class TestExport:
     @pytest.mark.parametrize(
         "text, error",
         [("[", InputError), ('{"k": 2}', InputError), ("null", InputError),
-         (caterpillar_json(400), LimitError)],
-        ids=["truncated", "no-root", "null", "400-levels"],
+         (caterpillar_json(400), LimitError),
+         ('{"k": "x", "root": {"id": 0, "depth": "a", "leaf_label": null, "children": []}}',
+          InputError),
+         (caterpillar_json(1).replace('"edge_length": 1', '"edge_length": "1"', 1), InputError),
+         (caterpillar_json(1).replace('"k": 2', '"k": true'), InputError),
+         (caterpillar_json(0).replace('"children": []', '"children": {}'), InputError)],
+        ids=["truncated", "no-root", "null", "400-levels", "string-values", "string-edge",
+             "bool-k", "children-object"],
     )
     def test_parse_rejects_with_library_errors(self, text, error):
         with pytest.raises(error):
