@@ -1,0 +1,117 @@
+"""Re-run the recorded mutations that the tests must catch.
+
+    python3 scripts/mutants.py
+
+Each mutant replaces one piece of text, found exactly once, in a module of
+``src/splittree``.  It is applied to a temporary copy of ``src/`` and
+``tests/``, and its named tests run there in one pytest process; mutants run
+one after another.  A mutant is killed when pytest reports a failing test
+or its run takes longer than 15 minutes (a mutant may keep a loop from
+ending).
+First the named tests must pass on the unmutated copy.  The script prints
+killed or survived per mutant and exits 1 if any mutant survives, 2 if the
+unmutated tests fail or a mutant's text no longer occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVER = "tests/test_solver.py::"
+TREEBUILD = "tests/test_treebuild.py::TestExport::"
+EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
+RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
+
+# (name, module, old text, new text, test ids)
+MUTANTS = [
+    # the JSON writer
+    ("writer-indent", "treebuild.py", "pad3, '\"node\": '", "pad2, '\"node\": '",
+     [TREEBUILD + "test_json_matches_reference_on_witnesses"]),
+    ("writer-bracket", "treebuild.py", 'pieces[0] = "["', 'pieces[0] = ","',
+     [TREEBUILD + "test_json_matches_reference_on_witnesses"]),
+    ("writer-bound-deeper", "treebuild.py", "deepest = sys.getrecursionlimit() - 8",
+     "deepest = sys.getrecursionlimit() - 5",
+     [TREEBUILD + "test_depth_bound_ignores_callers_stack"]),
+    ("writer-bound-shallower", "treebuild.py", "deepest = sys.getrecursionlimit() - 8",
+     "deepest = sys.getrecursionlimit() - 11",
+     [TREEBUILD + "test_json_matches_reference_on_caterpillars"]),
+    ("writer-unchecked", "treebuild.py", "return int.__repr__(_integer(value, name))",
+     "return json.dumps(value)", [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
+    # the inline reduction step in solver._expand
+    ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),
+    ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
+    ("expand-tail-length", "solver.py", "(n - q - 1)", "(n - q)", [EXPAND_TEST]),
+    ("expand-singleton-cap", "solver.py", "                w = min(w, cap)\n", "",
+     [EXPAND_TEST]),
+    ("expand-sort-in-assert", "solver.py", "    kept.sort()\n", "    assert not kept.sort()\n",
+     [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
+    # the packed domination scan
+    ("packer-narrow-word", "solver.py", "if hi_bits < w[0]", "if hi_bits <= w[0]", [RANK_TEST]),
+    ("packer-low-guard", "solver.py", "1 << (size - 1)", "1 << (size - 2)", [RANK_TEST]),
+    ("ranks-descending", "solver.py", "sorted(set(chain.from_iterable(order)))",
+     "sorted(set(chain.from_iterable(order)), reverse=True)",
+     [SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle", RANK_TEST]),
+    # value types of a LevelSet
+    ("levelset-any-values", "solver.py", "canonicalize(sig) == tuple(sig)",
+     "list(sig) == sorted(sig)",
+     [SOLVER + "TestPruneLevel::test_rejects_float_value",
+      SOLVER + "TestPruneLevel::test_rejects_bool_value"]),
+]
+
+
+def run_tests(copy: Path, test_ids: list[str]) -> int:
+    """pytest's exit code for ``test_ids`` in ``copy``: 0 passed, 1 failed
+    (a run that times out counts as failed)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)  # the copy's pyproject.toml puts its src/ on the path
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    try:
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                              timeout=900).returncode
+    except subprocess.TimeoutExpired:
+        return 1
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="splittree-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        all_ids = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
+        if run_tests(copy, all_ids) != 0:
+            print("the named tests fail or time out on the unmutated sources")
+            return 2
+
+        survived = []
+        for name, module, old, new, test_ids in MUTANTS:
+            path = copy / "src" / "splittree" / module
+            source = path.read_text()
+            if source.count(old) != 1:
+                print(f"{name}: {old!r} does not occur exactly once in {module}")
+                return 2
+            path.write_text(source.replace(old, new))
+            try:
+                code = run_tests(copy, test_ids)
+            finally:
+                path.write_text(source)
+            if code not in (0, 1):
+                print(f"{name}: pytest exited {code}")
+                return 2
+            print(f"{name}: {'killed' if code else 'survived'}")
+            if not code:
+                survived.append(name)
+
+    print(f"{len(MUTANTS) - len(survived)} killed, {len(survived)} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

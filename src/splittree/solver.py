@@ -52,8 +52,9 @@ class LevelSet:
     """Signatures of one length ``z`` surviving so far, with one record each.
 
     The input level has an empty record map.  Every signature must be
-    sorted and have length ``z`` (InputError otherwise).  ``|signatures|
-    <= z**k`` is asserted by the solver when the level is built.
+    sorted, of ``int`` values (no ``bool``) and have length ``z``
+    (InputError otherwise).  ``|signatures| <= z**k`` is asserted by the
+    solver when the level is built.
     """
 
     z: int
@@ -62,7 +63,8 @@ class LevelSet:
 
     def __post_init__(self) -> None:
         if any(
-            not (isinstance(sig, LeafSignature) or list(sig) == sorted(sig)) or len(sig) != self.z
+            not (isinstance(sig, LeafSignature) or canonicalize(sig) == tuple(sig))
+            or len(sig) != self.z
             for sig in self.signatures
         ):
             raise InputError(f"level {self.z} takes only sorted signatures of length {self.z}")

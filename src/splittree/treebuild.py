@@ -10,6 +10,7 @@ depths respect the requested bounds.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -222,21 +223,47 @@ def relabel(tree: SplitTree, d) -> SplitTree:
     return new_tree
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    return {
-        "id": node.node_id,
-        "depth": node.depth,
-        "leaf_label": node.leaf_label,
-        "children": [
-            {"edge_length": e, "node": _node_to_dict(child)} for e, child in node.children
-        ],
-    }
-
-
 def _integer(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _scalar(value, name: str) -> str:
+    """``value`` as ``json.dumps`` writes it, if ``parse_tree`` reads it back."""
+    return int.__repr__(_integer(value, name))
+
+
+def _json_text(tree: SplitTree) -> str:
+    """``json.dumps`` of the nested dict layout with ``indent=2``, from one
+    stack of text pieces and ``(node, nesting level)`` entries."""
+    out = ['{\n  "k": ', _scalar(tree.k, "k"), ',\n  "root": ']
+    stack: list = [(tree.root, 1)]
+    deepest = sys.getrecursionlimit() - 8
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        if level > deepest:
+            raise LimitError("tree too deep for JSON export; use --format dot")
+        pad, pad1, pad2, pad3 = ("\n" + "  " * (level + i) for i in range(4))
+        label = "null" if node.leaf_label is None else _scalar(node.leaf_label, "leaf_label")
+        out += ["{", pad1, '"id": ', _scalar(node.node_id, "id"), ",", pad1, '"depth": ',
+                _scalar(node.depth, "depth"), ",", pad1, '"leaf_label": ', label, ",", pad1,
+                '"children": ']
+        if not node.children:
+            out += ["[]", pad, "}"]
+            continue
+        pieces: list = []
+        for e, child in node.children:
+            pieces += [",", pad2, "{", pad3, '"edge_length": ', _scalar(e, "edge_length"), ",",
+                       pad3, '"node": ', (child, level + 3), pad2, "}"]
+        pieces[0] = "["
+        stack += reversed(pieces + [pad1, "]", pad, "}"])
+    out.append("\n}")
+    return "".join(out)
 
 
 def _node_from_dict(data: dict) -> TreeNode:
@@ -257,17 +284,13 @@ def _node_from_dict(data: dict) -> TreeNode:
 def export_tree(tree: SplitTree, format: str = "json") -> str:
     """Serialize the tree deterministically as JSON or Graphviz DOT.
 
-    The JSON writer recurses once per tree level or more; a tree deeper than
-    the interpreter's recursion limit allows raises LimitError.  The frames
-    already on the caller's stack count against that limit too, so a tree
-    that exports from the top level of a script may fail from deeper inside
-    other code.  The DOT writer has no such limit.
+    JSON nesting deeper than ``sys.getrecursionlimit() - 8`` (three levels per
+    tree level: 330 tree levels at the default limit) raises LimitError
+    wherever the call comes from; a field that ``parse_tree`` would not read
+    back raises InputError.  The DOT writer has no depth limit.
     """
     if format == "json":
-        try:
-            return json.dumps({"k": tree.k, "root": _node_to_dict(tree.root)}, indent=2)
-        except RecursionError:
-            raise LimitError("tree too deep for JSON export; use --format dot") from None
+        return _json_text(tree)
     if format == "dot":
         lines = ["digraph splittree {"]
         order = list(_preorder(tree.root))
@@ -292,9 +315,9 @@ def parse_tree(text: str) -> SplitTree:
 
     Text that is not such a tree, or whose ``k``, ids, depths, edge lengths
     or leaf labels are not integers (labels may be null), raises InputError.
-    The reader recurses once per nesting level, so a tree deeper than the
-    interpreter's recursion limit allows raises LimitError, as in
-    ``export_tree``.
+    ``json.loads`` and the reader recurse once per nesting level, so a tree
+    too deep for the recursion limit raises LimitError, and unlike in
+    ``export_tree`` the frames already on the caller's stack count too.
     """
     try:
         data = json.loads(text)

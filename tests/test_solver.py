@@ -305,6 +305,16 @@ class TestPruneLevel:
             prune_level(LevelSet(2, frozenset({(4, 1), (1, 3)}), {}))
         assert prune_level(self._level([[4, 1], [1, 3]])).signatures == {(1, 4)}
 
+    def test_rejects_float_value(self):
+        # the packed scan cannot take a float: InputError, not struct.error
+        with pytest.raises(InputError):
+            prune_level(LevelSet(2, frozenset({(1.5, 2), (1, 3)}), {}))
+
+    def test_rejects_bool_value(self):
+        # a bool would be packed as 0/1 and (True, 2) dropped as dominated
+        with pytest.raises(InputError):
+            prune_level(LevelSet(2, frozenset({(True, 2), (1, 3)}), {}))
+
     def test_rejects_wrong_length_under_optimize(self):
         # a short signature must not be dropped silently when asserts are off
         script = (

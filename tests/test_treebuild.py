@@ -1,11 +1,15 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_DEPTHS, REFERENCE_K
 from splittree.errors import InputError, LimitError
@@ -91,6 +95,65 @@ def caterpillar_json(levels: int) -> str:
         edges = f'{{"edge_length": 1, "node": {leaf}}}, {{"edge_length": 1, "node": {text}}}'
         text = node(2 * depth - 2, depth - 1, edges)
     return f'{{"k": 2, "root": {text}}}'
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def reference_json(tree: SplitTree) -> str:
+    """The JSON layout as ``json.dumps(..., indent=2)`` writes it from nested
+    dicts, built recursively under a raised recursion limit."""
+    def as_dict(node: TreeNode) -> dict:
+        return {
+            "id": node.node_id,
+            "depth": node.depth,
+            "leaf_label": node.leaf_label,
+            "children": [{"edge_length": e, "node": as_dict(c)} for e, c in node.children],
+        }
+
+    with recursion_limit(10_000):
+        return json.dumps({"k": tree.k, "root": as_dict(tree.root)}, indent=2)
+
+
+def reads_back(text: str, tree: SplitTree) -> bool:
+    """``parse_tree(text) == tree`` with room for 330 levels below any test
+    runner's frames: the reader and ``==`` both recurse, and the reader's
+    depth bound counts the caller's stack."""
+    with recursion_limit(10_000):
+        return parse_tree(text) == tree
+
+
+def at_stack_depth(frames: int, call):
+    """``call()`` made from ``frames`` extra stack frames."""
+    return call() if frames == 0 else at_stack_depth(frames - 1, call)
+
+
+def witness_trees(count: int, seed: int):
+    """Reconstructed witnesses of random realizable instances, k 2-8."""
+    rng = random.Random(seed)
+    while count:
+        k, n = rng.randint(2, 8), rng.randint(1, 12)
+        depths = [rng.randint(0, (k - 1) * (n - 1)) for _ in range(n)]
+        decision = decide(k, depths)
+        if decision.realizable:
+            count -= 1
+            yield reconstruct(k, depths, decision.witness_chain)
+
+
+ints = st.integers(-(10**30), 10**30) | st.integers(-3, 12)
+nodes = st.recursive(
+    st.builds(TreeNode, ints, ints, st.none() | ints),
+    lambda kids: st.builds(TreeNode, ints, ints, st.none() | ints,
+                           st.lists(st.tuples(ints, kids), max_size=2)),
+    max_leaves=24,
+)
 
 
 class TestValidate:
@@ -281,3 +344,49 @@ class TestExport:
         assert len(node["children"]) == 2
         for entry in node["children"]:
             assert set(entry) == {"edge_length", "node"}
+
+    @given(tree=st.builds(SplitTree, ints, nodes))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_json_matches_reference_on_any_shape(self, tree):
+        text = export_tree(tree, "json")
+        assert text == reference_json(tree)
+        assert parse_tree(text) == tree
+
+    def test_json_matches_reference_on_witnesses(self):
+        for tree in witness_trees(150, seed=2014):
+            text = export_tree(tree, "json")
+            assert text == reference_json(tree)
+            assert parse_tree(text) == tree
+
+    def test_json_matches_reference_on_caterpillars(self):
+        # byte for byte at a few heights (the reference costs depth x size);
+        # at every height up to 330 the text matches once indents are removed
+        for levels in (0, 1, 2, 3, 150, 330):
+            tree = caterpillar(levels)
+            assert export_tree(tree, "json") == reference_json(tree)
+        for levels in range(331):
+            text = export_tree(caterpillar(levels), "json")
+            flat = "".join(map(str.lstrip, text.split("\n")))
+            assert flat == caterpillar_json(levels).replace(", ", ",")
+            assert reads_back(text, caterpillar(levels))
+
+    def test_depth_bound_ignores_callers_stack(self):
+        tree = caterpillar(300)
+        assert at_stack_depth(150, lambda: export_tree(tree, "json")) == reference_json(tree)
+        for levels in (331, 400):
+            for frames in (0, 150, 600):
+                with pytest.raises(LimitError, match="--format dot"):
+                    at_stack_depth(frames, lambda: export_tree(caterpillar(levels), "json"))
+
+    @pytest.mark.parametrize(
+        "tree",
+        [SplitTree(2, TreeNode("a", 0)),
+         SplitTree(2, TreeNode(0, 0, leaf_label=True)),
+         SplitTree(2, TreeNode(0, 1.5)),
+         SplitTree(True, TreeNode(0, 0)),
+         SplitTree(2, TreeNode(0, 0, children=[(1.0, TreeNode(1, 1)), (1, TreeNode(2, 1))]))],
+        ids=["string-id", "bool-label", "float-depth", "bool-k", "float-edge"],
+    )
+    def test_json_rejects_what_parse_rejects(self, tree):
+        with pytest.raises(InputError):
+            export_tree(tree, "json")
