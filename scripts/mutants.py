@@ -27,6 +27,7 @@ SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
 RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
+FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 
 # (name, module, old text, new text, test ids)
 MUTANTS = [
@@ -57,6 +58,14 @@ MUTANTS = [
     ("ranks-descending", "solver.py", "sorted(set(chain.from_iterable(order)))",
      "sorted(set(chain.from_iterable(order)), reverse=True)",
      [SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle", RANK_TEST]),
+    # per-parent domination read off the level-wide masks
+    ("fused-no-sibling-mask", "solver.py", "if not above[b] & mask]", "if not above[b]]",
+     [FUSED_TEST]),
+    ("fused-size-all-children", "solver.py", "some_kept.update(kept_bits)",
+     "some_kept.update(at)", [FUSED_TEST]),
+    ("fused-unpruned", "solver.py", "fused = prune and len(", "fused = len(", [FUSED_TEST]),
+    ("dominators-lowest-only", "solver.py", "above.append(dominators)",
+     "above.append(dominators & -dominators)", [FUSED_TEST]),
     # value types of a LevelSet
     ("levelset-any-values", "solver.py", "canonicalize(sig) == tuple(sig)",
      "list(sig) == sorted(sig)",

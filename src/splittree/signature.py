@@ -28,12 +28,13 @@ class LeafSignature(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int]) -> "LeafSignature":
-        vals = sorted(values)
+        vals = list(values)
         if not vals:
             raise InputError("a leaf signature needs at least one value")
         for v in vals:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputError(f"depth bounds must be integers, got {v!r}")
+        vals.sort()
         return tuple.__new__(cls, vals)
 
     def __repr__(self) -> str:

@@ -54,7 +54,7 @@ class LevelSet:
     The input level has an empty record map.  Every signature must be
     sorted, of ``int`` values (no ``bool``) and have length ``z``
     (InputError otherwise).  ``|signatures| <= z**k`` is asserted by the
-    solver when the level is built.
+    solver when a pruned level is built; unpruned levels can exceed it.
     """
 
     z: int
@@ -183,23 +183,19 @@ def _dominated_filter(
 _LEVEL_BITSET_MIN = 128
 
 
-def _level_filter(
+def _dominators(
     sigs: Collection[LeafSignature], check_time: Callable[[], None] | None = None
-) -> list[LeafSignature]:
-    """``_dominated_filter`` for whole levels, by bit masks from
-    ``_LEVEL_BITSET_MIN`` signatures on (below that the scan is faster): the
-    same kept list in the same order, one ``check_time`` call per candidate.
+) -> tuple[list[LeafSignature], list[int]]:
+    """``(order, above)`` for distinct signatures of one length: ``order``
+    is ``_dominated_filter``'s presort, and bit ``b'`` of ``above[b]`` is set
+    iff ``order[b']`` dominates ``order[b]``.  One ``check_time`` call per
+    signature.
 
-    Bit ``b`` stands for ``order[b]`` after the same presort; per lane,
-    ``ge[v]`` masks the signatures whose value there is ``>= v``.  The AND of
-    ``ge[c[p]]`` over the lanes ``p`` holds ``c`` and its dominators, whose
-    larger sums give lower bits: ``order[b]`` is dominated iff the AND holds
-    a bit below ``b``.  Lanes of one value throughout are skipped.  As
-    domination is transitive, testing against every earlier candidate keeps
-    what the scan keeps: a dominated candidate has a kept dominator.
+    Per lane, ``ge[v]`` masks the signatures whose value there is ``>= v``.
+    The AND of ``ge[c[p]]`` over the lanes ``p`` holds ``c`` and its
+    dominators, whose larger sums give lower bits, so ``above[b]`` is that
+    AND below bit ``b``.  Lanes of one value throughout are skipped.
     """
-    if len(sigs) < _LEVEL_BITSET_MIN:
-        return _dominated_filter(sigs, check_time)
     order = sorted(sigs)
     order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
     bits = [1 << b for b in range(len(order))]
@@ -212,8 +208,8 @@ def _level_filter(
                 ge[v] |= bit
             ge = dict(zip(values, accumulate(map(ge.__getitem__, values), or_)))  # OR top down
             columns.append(list(map(ge.__getitem__, lane)))
-    kept: list[LeafSignature] = []
-    for b, c in enumerate(order):
+    above = []
+    for b in range(len(order)):
         if check_time is not None:
             check_time()
         dominators = bits[b] - 1
@@ -221,9 +217,22 @@ def _level_filter(
             dominators &= column[b]
             if not dominators:
                 break
-        if not dominators:
-            kept.append(c)
-    return kept
+        above.append(dominators)
+    return order, above
+
+
+def _level_filter(
+    sigs: Collection[LeafSignature], check_time: Callable[[], None] | None = None
+) -> list[LeafSignature]:
+    """``_dominated_filter`` for whole levels, by the ``_dominators`` masks
+    from ``_LEVEL_BITSET_MIN`` signatures on (below that the scan is faster):
+    the same kept list in the same order, as a dominated candidate has a kept
+    dominator.  One ``check_time`` call per candidate.
+    """
+    if len(sigs) < _LEVEL_BITSET_MIN:
+        return _dominated_filter(sigs, check_time)
+    order, above = _dominators(sigs, check_time)
+    return [c for c, up in zip(order, above) if not up]
 
 
 # (merged_lo, merged_hi, omega, cap) of one reduction step, as in MergeRecord
@@ -255,10 +264,12 @@ def _expand(
     pairs: list[tuple[int, int]],
     parent_l: float,
     stats: SolverStats,
+    scan: bool = True,
 ) -> dict[LeafSignature, Provenance]:
     """The undominated non-negative children of ``a`` over ``pairs``, in
     sorted order, each with the ``(merged_lo, merged_hi, omega, cap)`` of its
-    first pair.
+    first pair.  Without ``scan``, every distinct non-negative child, in the
+    order of first generation: the caller tests domination itself.
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
@@ -303,9 +314,11 @@ def _expand(
             if not negative and child not in cands:
                 cands[child] = (lo, hi, w, cap)
         negatives += negative
-    kept = _dominated_filter(cands)
     stats.signatures_generated += len(pairs)
     stats.pruned_negative += negatives
+    if not scan:
+        return cands
+    kept = _dominated_filter(cands)
     stats.pruned_dominated += len(cands) - len(kept)
     assert len(kept) <= k * (len(a) - 1)
     kept.sort()
@@ -396,6 +409,11 @@ def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
     return truncate(sig, (k - 1) * (len(sig) - 1))
 
 
+# levels of this many parents on take their per-parent domination from the
+# level-wide masks; narrower ones (all of long signatures) scan faster
+_FUSED_MIN_PARENTS = 32
+
+
 def _run_levels(
     k: int, d: Iterable[int], config: SolverConfig
 ) -> tuple[list[LevelSet], SolverStats]:
@@ -410,24 +428,48 @@ def _run_levels(
             if time.perf_counter() > deadline:
                 raise LimitError(f"time limit of {config.max_seconds}s exceeded at level {z}")
 
+    prune = config.prune_level_domination
     levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
     for z in range(len(sig) - 1, 0, -1):
         parents = levels[-1].record_of
+        fused = prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS
         # child -> (parent, parent_l, provenance) of its first derivation
         merged: dict[LeafSignature, tuple[LeafSignature, float, Provenance]] = {}
+        same: dict[LeafSignature, LeafSignature] = {}  # groups share one tuple per child
+        groups = []  # every parent's children, when fused
         for a in levels[-1].sorted_signatures():
             if check_time is not None:
                 check_time()
             parent_l = parents[a].l_value if parents else math.inf
-            for child, provenance in _expand(k, a, _pairs(k, a), parent_l, stats).items():
+            children = _expand(k, a, _pairs(k, a), parent_l, stats, not fused)
+            for child, provenance in children.items():
                 if child not in merged:
                     merged[child] = (a, parent_l, provenance)
-        # z >= 2 and len < 2**k imply len < z**k without building the bignum
-        assert (z >= 2 and k >= len(merged).bit_length()) or len(merged) <= z**k
-        kept = list(merged)
-        if config.prune_level_domination:
+            if fused:
+                groups.append([same.setdefault(c, c) for c in children])
+        size, kept = len(merged), list(merged)
+        if fused:
+            # A child is dominated within its parent iff one of its
+            # dominators is a sibling.  What a parent drops has a dominator
+            # that it keeps, so all children and the kept ones have the same
+            # survivors, and every parent generating a survivor keeps it:
+            # its first derivation is the one of the per-parent scans.
+            order, above = _dominators(kept, check_time)
+            index = dict(zip(order, count()))
+            some_kept: set[int] = set()  # bits of children a parent keeps
+            for group in groups:
+                at = list(map(index.__getitem__, group))
+                mask = sum(map((1).__lshift__, at))
+                kept_bits = [b for b in at if not above[b] & mask]
+                assert len(kept_bits) <= k * z
+                stats.pruned_dominated += len(at) - len(kept_bits)
+                some_kept.update(kept_bits)
+            size, kept = len(some_kept), [c for c, up in zip(order, above) if not up]
+        elif prune:
             kept = _level_filter(kept, check_time)
-            stats.pruned_dominated += len(merged) - len(kept)
+        stats.pruned_dominated += size - len(kept)
+        # z >= 2 and size < 2**k imply size < z**k without building the bignum
+        assert not prune or (z >= 2 and k >= size.bit_length()) or size <= z**k
         if config.max_level_size is not None and len(kept) > config.max_level_size:
             raise LimitError(
                 f"level {z} holds {len(kept)} signatures, over the "

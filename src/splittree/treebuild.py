@@ -31,10 +31,15 @@ class TreeNode:
 
 
 def _preorder(root: TreeNode) -> Iterator[TreeNode]:
-    """Every node below ``root``: parents first, children left to right."""
+    """Every node below ``root``: parents first, children left to right.
+    A node reached twice (a cycle or a shared subtree) raises InputError."""
     stack = [root]
+    seen: set[int] = set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            raise InputError(f"node {node.node_id} is reached twice: not a tree")
+        seen.add(id(node))
         yield node
         stack.extend(child for _, child in reversed(node.children))
 

@@ -80,6 +80,14 @@ class TestDecide:
         code, _, _ = run_cli(capsys, "decide", "--k", "6", "--depths", "5,7,7,8,8,9", "--no-prune")
         assert code == 0
 
+    @pytest.mark.parametrize("k,depths", [
+        ("4", "7,7,9,9,12,14,14,14"),
+        ("3", "6,6,7,8,9,9,10,10,11,12"),  # 9 signatures at z = 2, over 2**3
+    ])
+    def test_no_prune_past_the_pruned_level_bound(self, capsys, k, depths):
+        code, out, _ = run_cli(capsys, "decide", "--k", k, "--depths", depths, "--no-prune")
+        assert code == 0 and out.startswith("realizable")
+
     def test_file_instance(self, capsys, tmp_path):
         path = tmp_path / "instance.txt"
         path.write_text("6\n5 7 7 8 8 9\n")

@@ -90,6 +90,13 @@ class TestCanonicalize:
         with pytest.raises(InputError):
             canonicalize([True])
 
+    def test_rejects_unorderable_values(self):
+        # the types are checked before sorting: not a bare TypeError from sorted
+        with pytest.raises(InputError, match="'a'"):
+            LeafSignature(["a", 1])
+        with pytest.raises(InputError, match="None"):
+            LeafSignature([3, None])
+
     def test_signature_is_hashable_and_comparable(self):
         assert len({canonicalize([1, 2]), canonicalize([2, 1])}) == 1
         assert canonicalize([1, 3]) < canonicalize([2, 2])

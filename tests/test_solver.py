@@ -274,6 +274,42 @@ class TestLevelFilter:
                 assert _level_filter(level.signatures) == _dominated_filter(level.signatures)
 
 
+class TestFusedLevels:
+    """Levels of ``_FUSED_MIN_PARENTS`` parents on take their per-parent
+    domination from the level-wide masks: every output must be the one of
+    per-parent scans followed by a level-wide scan."""
+
+    @staticmethod
+    def outputs(k, depths, config):
+        try:
+            levels = trace_levels(k, depths, config)
+            decision = decide(k, depths, config)
+        except LimitError as exc:
+            return str(exc)
+        stats = asdict(decision.stats)
+        del stats["wall_time_s"]
+        flat = [(lv.z, lv.signatures, list(lv.record_of.items())) for lv in levels]
+        return flat, decision.realizable, decision.witness_chain, stats
+
+    def test_masks_at_every_width_match_scans(self, monkeypatch):
+        rng = random.Random(41)
+        for _ in range(100):
+            k, n = rng.randint(2, 12), rng.randint(2, 14)
+            lo = rng.randint(0, 2 * k)
+            depths = [rng.randint(lo, lo + rng.choice([k // 2, k, 2 * k, n * k])) for _ in range(n)]
+            config = SolverConfig(
+                prune_level_domination=n > 9 or rng.random() < 0.8,  # unpruned: never fused
+                max_level_size=rng.choice([None, None, rng.randint(0, 60)]),
+                max_seconds=rng.choice([None, None, 0.0, 1e9]),
+            )
+            results = []
+            for width in (0, 10**9):  # masks everywhere, scans everywhere
+                monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
+                monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
+                results.append(self.outputs(k, depths, config))
+            assert results[0] == results[1], (k, depths, config)
+
+
 class TestPruneLevel:
     def _level(self, sigs):
         return LevelSet(
@@ -314,6 +350,11 @@ class TestPruneLevel:
         # a bool would be packed as 0/1 and (True, 2) dropped as dominated
         with pytest.raises(InputError):
             prune_level(LevelSet(2, frozenset({(True, 2), (1, 3)}), {}))
+
+    def test_rejects_str_value(self):
+        # InputError, not the TypeError of sorting "a" against 1
+        with pytest.raises(InputError, match="'a'"):
+            LevelSet(2, frozenset({("a", 1)}), {})
 
     def test_rejects_wrong_length_under_optimize(self):
         # a short signature must not be dropped silently when asserts are off
@@ -426,6 +467,20 @@ class TestDecide:
                         decide(k, depths).realizable
                         is decide(k, depths, no_prune).realizable
                     )
+
+    def test_unpruned_levels_past_the_pruned_bound(self):
+        # |level| <= z**k holds for pruned levels only
+        rng = random.Random(12)
+        no_prune = SolverConfig(prune_level_domination=False)
+        cases = [(4, [7, 7, 9, 9, 12, 14, 14, 14]), (3, [6, 6, 7, 8, 9, 9, 10, 10, 11, 12])]
+        while len(cases) < 12:  # narrow windows, where unpruned levels grow past it
+            k, n = rng.randint(2, 8), rng.randint(3, 12)
+            lo = rng.randint(0, n)
+            depths = [rng.randint(lo, lo + k) for _ in range(n)]
+            if any(len(lv.signatures) > lv.z**k for lv in trace_levels(k, depths, no_prune)):
+                cases.append((k, depths))
+        for k, depths in cases:
+            assert decide(k, depths, no_prune).realizable is decide(k, depths).realizable
 
     @given(
         depths=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6),

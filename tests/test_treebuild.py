@@ -156,6 +156,12 @@ nodes = st.recursive(
 )
 
 
+def cyclic_tree() -> SplitTree:
+    root = TreeNode(0, 0)
+    root.children = [(1, TreeNode(1, 1)), (1, root)]
+    return SplitTree(2, root)
+
+
 class TestValidate:
     def test_reference_tree_is_valid(self):
         report = validate(REFERENCE_K, reference_tree(), REFERENCE_DEPTHS)
@@ -200,6 +206,15 @@ class TestValidate:
         assert [leaf.depth for leaf in copy.leaves()] == bounds
         assert copy.root is not tree.root
         assert all(leaf.leaf_label is None for leaf in tree.leaves())
+
+    def test_cyclic_tree_raises(self):
+        # the walk stops at the first node it reaches again, naming it
+        with pytest.raises(InputError, match="node 0 "):
+            validate(2, cyclic_tree(), [1, 1])
+        with pytest.raises(InputError, match="node 0 "):
+            relabel(cyclic_tree(), [1, 1])
+        with pytest.raises(InputError, match="node 0 "):
+            cyclic_tree().leaves()
 
     def test_relabel_refuses_too_tight_bounds(self):
         with pytest.raises(InputError):
@@ -287,6 +302,10 @@ class TestExport:
         with pytest.raises(LimitError, match="--format dot"):
             export_tree(tree, "json")
         assert export_tree(tree, "dot").count(" -> ") == 2 * 400
+
+    def test_dot_refuses_cyclic_tree(self):
+        with pytest.raises(InputError, match="node 0 "):
+            export_tree(cyclic_tree(), "dot")
 
     def test_single_vertex_json(self):
         tree = reconstruct(2, [0], [])
