@@ -63,7 +63,7 @@ MUTANTS = [
      [FUSED_TEST]),
     ("fused-size-all-children", "solver.py", "some_kept.update(kept_bits)",
      "some_kept.update(at)", [FUSED_TEST]),
-    ("fused-unpruned", "solver.py", "fused = prune and len(", "fused = len(", [FUSED_TEST]),
+    ("fused-unpruned", "solver.py", "if prune and len(levels", "if len(levels", [FUSED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
     # value types of a LevelSet

@@ -414,6 +414,46 @@ def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
 _FUSED_MIN_PARENTS = 32
 
 
+def _fused_level(
+    k: int, z: int, level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
+) -> tuple[int, list[LeafSignature], dict]:
+    """``_run_levels``' step from ``level`` to length ``z``, with one
+    ``_dominators`` pass over all children: the merged level size of the
+    per-parent scans, the survivors and the children's first derivations.
+
+    A child is dominated within its parent iff a sibling dominates it.  What
+    a parent drops has a dominator that it keeps, so all children and the
+    kept ones have the same survivors; a survivor is kept by every parent
+    generating it, so its first derivation is the one of the scans.
+    """
+    parents = level.record_of
+    merged = {}  # child -> (parent, parent_l, provenance) of its first derivation
+    same: dict[LeafSignature, LeafSignature] = {}  # groups share one tuple per child
+    groups = []  # every parent's children
+    for a in level.sorted_signatures():
+        if check_time is not None:
+            check_time()
+        parent_l = parents[a].l_value if parents else math.inf
+        children = _expand(k, a, _pairs(k, a), parent_l, stats, scan=False)
+        for child, provenance in children.items():
+            if child not in merged:
+                merged[child] = (a, parent_l, provenance)
+        groups.append([same.setdefault(c, c) for c in children])
+    order, above = _dominators(merged, check_time)
+    index = dict(zip(order, count()))
+    some_kept: set[int] = set()  # bits of children a parent keeps
+    for group in groups:
+        at = list(map(index.__getitem__, group))
+        mask = sum(map((1).__lshift__, at))
+        kept_bits = [b for b in at if not above[b] & mask]
+        assert len(kept_bits) <= k * z
+        stats.pruned_dominated += len(at) - len(kept_bits)
+        some_kept.update(kept_bits)
+    kept = [c for c, up in zip(order, above) if not up]
+    stats.pruned_dominated += len(some_kept) - len(kept)
+    return len(some_kept), kept, merged
+
+
 def _run_levels(
     k: int, d: Iterable[int], config: SolverConfig
 ) -> tuple[list[LevelSet], SolverStats]:
@@ -431,43 +471,23 @@ def _run_levels(
     prune = config.prune_level_domination
     levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
     for z in range(len(sig) - 1, 0, -1):
-        parents = levels[-1].record_of
-        fused = prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS
-        # child -> (parent, parent_l, provenance) of its first derivation
-        merged: dict[LeafSignature, tuple[LeafSignature, float, Provenance]] = {}
-        same: dict[LeafSignature, LeafSignature] = {}  # groups share one tuple per child
-        groups = []  # every parent's children, when fused
-        for a in levels[-1].sorted_signatures():
-            if check_time is not None:
-                check_time()
-            parent_l = parents[a].l_value if parents else math.inf
-            children = _expand(k, a, _pairs(k, a), parent_l, stats, not fused)
-            for child, provenance in children.items():
-                if child not in merged:
-                    merged[child] = (a, parent_l, provenance)
-            if fused:
-                groups.append([same.setdefault(c, c) for c in children])
-        size, kept = len(merged), list(merged)
-        if fused:
-            # A child is dominated within its parent iff one of its
-            # dominators is a sibling.  What a parent drops has a dominator
-            # that it keeps, so all children and the kept ones have the same
-            # survivors, and every parent generating a survivor keeps it:
-            # its first derivation is the one of the per-parent scans.
-            order, above = _dominators(kept, check_time)
-            index = dict(zip(order, count()))
-            some_kept: set[int] = set()  # bits of children a parent keeps
-            for group in groups:
-                at = list(map(index.__getitem__, group))
-                mask = sum(map((1).__lshift__, at))
-                kept_bits = [b for b in at if not above[b] & mask]
-                assert len(kept_bits) <= k * z
-                stats.pruned_dominated += len(at) - len(kept_bits)
-                some_kept.update(kept_bits)
-            size, kept = len(some_kept), [c for c, up in zip(order, above) if not up]
-        elif prune:
-            kept = _level_filter(kept, check_time)
-        stats.pruned_dominated += size - len(kept)
+        if prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS:
+            size, kept, merged = _fused_level(k, z, levels[-1], stats, check_time)
+        else:
+            parents = levels[-1].record_of
+            # child -> (parent, parent_l, provenance) of its first derivation
+            merged: dict[LeafSignature, tuple[LeafSignature, float, Provenance]] = {}
+            for a in levels[-1].sorted_signatures():
+                if check_time is not None:
+                    check_time()
+                parent_l = parents[a].l_value if parents else math.inf
+                for child, provenance in _expand(k, a, _pairs(k, a), parent_l, stats).items():
+                    if child not in merged:
+                        merged[child] = (a, parent_l, provenance)
+            size, kept = len(merged), list(merged)
+            if prune:
+                kept = _level_filter(kept, check_time)
+                stats.pruned_dominated += size - len(kept)
         # z >= 2 and size < 2**k imply size < z**k without building the bignum
         assert not prune or (z >= 2 and k >= size.bit_length()) or size <= z**k
         if config.max_level_size is not None and len(kept) > config.max_level_size:
