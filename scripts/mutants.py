@@ -28,6 +28,7 @@ TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
 RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
+UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
 
 # (name, module, old text, new text, test ids)
 MUTANTS = [
@@ -66,6 +67,13 @@ MUTANTS = [
     ("fused-unpruned", "solver.py", "if prune and len(levels", "if len(levels", [FUSED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
+    # the closed-form k = 2 level
+    ("unit-edge-provenance-last", "solver.py", "(u, a[r + 1], w, cap)", "(u, a[n - 1], w, cap)",
+     [UNIT_EDGE_TEST]),
+    ("unit-edge-zeros-everywhere", "solver.py", "bisect_right(a, 0, 0, n - 1)",
+     "bisect_right(a, 0)", [UNIT_EDGE_TEST]),
+    ("unit-edge-dominated-all", "solver.py", "len(set(a[zeros : n - 1])) - 1",
+     "len(set(a[zeros : n - 1]))", [UNIT_EDGE_TEST]),
     # value types of a LevelSet
     ("levelset-any-values", "solver.py", "canonicalize(sig) == tuple(sig)",
      "list(sig) == sorted(sig)",

@@ -454,6 +454,43 @@ def _fused_level(
     return len(some_kept), kept, merged
 
 
+def _unit_edge_level(
+    level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
+) -> tuple[int, list[LeafSignature], dict]:
+    """``_run_levels``' step from a ``k = 2`` level: the counters and the one
+    kept child of ``_expand(2, a, _pairs(2, a), ...)`` on the level's one
+    non-negative signature ``a``, built without any sibling (Huffman's
+    exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
+    - the pair ``(i, i+1)`` with ``a[i] = v`` merges to ``w = v-1``, ``cap =
+      v`` and gives ``a[:r(v)] + (v-1,) + (v,) * (n-r(v)-2)``, ``r(v) =
+      bisect_left(a, v)``: distinct children are distinct values, negative
+      exactly for ``v = 0``;
+    - the child of ``u`` holds one more value ``>= v`` than the child of any
+      ``v < u`` and dominates it elementwise;
+    - so only the child of ``u`` is kept, from its first pair ``i = r(u)``: a
+      ``k = 2`` level never holds more than one signature and needs no
+      level-wide filter, with or without level pruning.
+    A length-2 parent gives the singleton cut to ``(0,)``.
+    """
+    if check_time is not None:
+        check_time()
+    (a,) = level.signatures
+    parent_l = level.record_of[a].l_value if level.record_of else math.inf
+    n = len(a)
+    u = a[n - 2]
+    zeros = bisect_right(a, 0, 0, n - 1)
+    stats.signatures_generated += n - 1
+    stats.pruned_negative += zeros
+    if u < 1:
+        return 0, [], {}
+    stats.pruned_dominated += len(set(a[zeros : n - 1])) - 1
+    r = bisect_left(a, u)
+    w, cap = (u - 1, u) if n > 2 else (0, 0)
+    child = tuple.__new__(LeafSignature, a[:r] + (w,) + (u,) * (n - r - 2))
+    assert child[-1] <= min(parent_l, w) + 1
+    return 1, [child], {child: (a, parent_l, (u, a[r + 1], w, cap))}
+
+
 def _run_levels(
     k: int, d: Iterable[int], config: SolverConfig
 ) -> tuple[list[LevelSet], SolverStats]:
@@ -471,7 +508,9 @@ def _run_levels(
     prune = config.prune_level_domination
     levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
     for z in range(len(sig) - 1, 0, -1):
-        if prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS:
+        if k == 2:
+            size, kept, merged = _unit_edge_level(levels[-1], stats, check_time)
+        elif prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS:
             size, kept, merged = _fused_level(k, z, levels[-1], stats, check_time)
         else:
             parents = levels[-1].record_of

@@ -244,6 +244,7 @@ def _json_text(tree: SplitTree) -> str:
     stack of text pieces and ``(node, nesting level)`` entries."""
     out = ['{\n  "k": ', _scalar(tree.k, "k"), ',\n  "root": ']
     stack: list = [(tree.root, 1)]
+    seen: set[int] = set()
     deepest = sys.getrecursionlimit() - 8
     while stack:
         item = stack.pop()
@@ -251,6 +252,9 @@ def _json_text(tree: SplitTree) -> str:
             out.append(item)
             continue
         node, level = item
+        if id(node) in seen:
+            raise InputError(f"node {node.node_id} is reached twice: not a tree")
+        seen.add(id(node))
         if level > deepest:
             raise LimitError("tree too deep for JSON export; use --format dot")
         pad, pad1, pad2, pad3 = ("\n" + "  " * (level + i) for i in range(4))
@@ -292,7 +296,8 @@ def export_tree(tree: SplitTree, format: str = "json") -> str:
     JSON nesting deeper than ``sys.getrecursionlimit() - 8`` (three levels per
     tree level: 330 tree levels at the default limit) raises LimitError
     wherever the call comes from; a field that ``parse_tree`` would not read
-    back raises InputError.  The DOT writer has no depth limit.
+    back, or a node reached twice, raises InputError in either format.  The
+    DOT writer has no depth limit.
     """
     if format == "json":
         return _json_text(tree)

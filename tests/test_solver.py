@@ -23,9 +23,11 @@ from splittree.solver import (
     SolverConfig,
     SolverStats,
     _dominated_filter,
+    _expand,
     _generate,
     _level_filter,
     _pairs,
+    _unit_edge_level,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -308,6 +310,39 @@ class TestFusedLevels:
                 monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
                 results.append(self.outputs(k, depths, config))
             assert results[0] == results[1], (k, depths, config)
+
+
+class TestUnitEdgeLevels:
+    def test_closed_form_matches_expand(self):
+        # the k = 2 step must keep the child, provenance and counters of the
+        # general step on the same parent
+        rng = random.Random(1952)
+        cases = [[0, 0], [0, 1], [5, 5], [1, 9], [0, 0, 0], [0, 0, 0, 1], [0, 0, 3, 3]]
+        for _ in range(600):
+            n = rng.randint(2, 200)
+            zeros = rng.choice([0, 0, 1, rng.randint(0, n)])  # a run of zeros first
+            top = rng.randint(1, 2 * n)
+            rest = [rng.randint(0, rng.choice([1, 3, top])) for _ in range(n - zeros)]
+            if rng.random() < 0.5 and n - zeros > 1:  # the top value repeated up to a[n-1]
+                repeats = rng.randint(1, n - zeros - 1)
+                last = rng.choice([top, top + rng.randint(1, 5)])
+                rest[-repeats - 1 :] = [top] * repeats + [last]
+            cases.append([0] * zeros + rest)
+        for values in cases:
+            a = canonicalize(values)
+            for parent_l in (math.inf, a[-1] - 1):
+                expected_stats, stats = SolverStats(), SolverStats()
+                expected = _expand(2, a, _pairs(2, a), parent_l, expected_stats)
+                record_of = {}
+                if parent_l != math.inf:
+                    record_of[a] = MergeRecord(a, 0, 0, parent_l, 0, a, parent_l)
+                level = LevelSet(len(a), frozenset({a}), record_of)
+                size, kept, merged = _unit_edge_level(level, stats, None)
+                assert size == len(kept) == len(expected), values
+                assert {c: merged[c] for c in kept} == {
+                    c: (a, parent_l, provenance) for c, provenance in expected.items()
+                }, (values, parent_l)
+                assert stats == expected_stats, (values, parent_l)
 
 
 class TestPruneLevel:
@@ -661,6 +696,37 @@ class TestPastTheOracles:
             tree = reconstruct(k, depths, decision.witness_chain)
             report = validate(k, tree, depths)
             assert report.valid, report.violations
+
+    def test_long_unit_edge_chains(self):
+        # k = 2 instances of 100-400 bounds: the leaf depths of a random tree
+        # with some bounds raised (realizable) or one positive bound lowered
+        # (not realizable, as its feasibility sum exceeds 1)
+        rng = random.Random(331)
+        verdicts = []
+        for case in range(40):
+            depths = [0]
+            for _ in range(rng.randint(99, 399)):
+                at = rng.randrange(len(depths)) if rng.random() < 0.7 else len(depths) - 1
+                depths[at] += 1
+                depths.append(depths[at])
+            if case % 2:
+                at = rng.choice([i for i, v in enumerate(depths) if v > 0])
+                depths[at] -= 1
+            else:
+                for _ in range(rng.randint(0, 5)):
+                    depths[rng.randrange(len(depths))] += rng.randint(1, 3)
+            rng.shuffle(depths)
+            decision = decide(2, depths)
+            assert decision.realizable is kraft_check(depths), depths
+            levels = trace_levels(2, depths)
+            assert [len(lv.signatures) for lv in levels] == [1] * (len(levels) - 1) + [
+                int(decision.realizable)
+            ]
+            if decision.realizable:
+                tree = reconstruct(2, depths, decision.witness_chain)
+                assert validate(2, tree, depths).valid
+            verdicts.append(decision.realizable)
+        assert verdicts.count(True) == verdicts.count(False) == 20
 
 
 class TestLimits:

@@ -307,6 +307,14 @@ class TestExport:
         with pytest.raises(InputError, match="node 0 "):
             export_tree(cyclic_tree(), "dot")
 
+    def test_json_refuses_what_dot_refuses(self):
+        leaf = TreeNode(1, 1)
+        shared = SplitTree(2, TreeNode(0, 0, children=[(1, leaf), (1, leaf)]))
+        for tree, node in ((cyclic_tree(), 0), (shared, 1)):
+            for format in ("json", "dot"):
+                with pytest.raises(InputError, match=f"node {node} is reached twice"):
+                    export_tree(tree, format)
+
     def test_single_vertex_json(self):
         tree = reconstruct(2, [0], [])
         data = json.loads(export_tree(tree, "json"))
