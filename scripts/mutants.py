@@ -74,6 +74,13 @@ MUTANTS = [
      "bisect_right(a, 0)", [UNIT_EDGE_TEST]),
     ("unit-edge-dominated-all", "solver.py", "len(set(a[zeros : n - 1])) - 1",
      "len(set(a[zeros : n - 1]))", [UNIT_EDGE_TEST]),
+    # the lazy package namespace and the CLI's per-command imports
+    ("namespace-wrong-home", "__init__.py", '"run_oracle"),\n    "signature": ("LeafSignature",',
+     '),\n    "signature": ("run_oracle", "LeafSignature",',
+     ["tests/test_package.py::test_name_is_its_home_modules_object"]),
+    ("cli-eager-treebuild", "cli.py", "trace_levels\n",
+     "trace_levels\nfrom .treebuild import export_tree, reconstruct, validate\n",
+     ["tests/test_package.py::test_modules_each_command_loads"]),
     # value types of a LevelSet
     ("levelset-any-values", "solver.py", "canonicalize(sig) == tuple(sig)",
      "list(sig) == sorted(sig)",

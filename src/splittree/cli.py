@@ -6,20 +6,21 @@ of the contract: 0 realizable / success, 1 unrealizable, 2 invalid input,
 
 Stdout for identical inputs is byte-identical; the only non-deterministic
 quantity (wall time) goes to stderr.
+
+Importing this module loads only ``errors``, ``signature`` and ``solver``:
+``build`` imports ``treebuild``, ``oracle`` and ``selftest`` import
+``oracle``, and the JSON formats import ``json``, each when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields
 
 from .errors import InputError, LimitError
 from .signature import LeafSignature, validate_k
-from .oracle import OracleConfig, run_oracle, sweep
 from .solver import Decision, MergeRecord, SolverConfig, _validate_instance, decide, trace_levels
-from .treebuild import export_tree, reconstruct, validate
 
 EXIT_REALIZABLE = 0
 EXIT_UNREALIZABLE = 1
@@ -87,6 +88,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
     k, depths = _load_instance(args)
     decision = decide(k, depths, _solver_config(args))
     if args.format == "json":
+        import json
+
         payload = {
             "realizable": decision.realizable,
             "stats": _stats_dict(decision),
@@ -102,6 +105,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .treebuild import export_tree, reconstruct, validate
+
     k, depths = _load_instance(args)
     decision = decide(k, depths, _solver_config(args))
     if not decision.realizable:
@@ -125,6 +130,8 @@ def _trace_text(levels) -> str:
 
 
 def _trace_json(k: int, levels) -> str:
+    import json
+
     payload = {
         "k": k,
         "levels": [
@@ -183,6 +190,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import OracleConfig, run_oracle
+
     k, depths = _load_instance(args)
     verdict = run_oracle(k, depths, OracleConfig(method=args.method, max_n=args.max_n))
     print("realizable" if verdict else "unrealizable")
@@ -190,6 +199,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .oracle import sweep
+
     try:
         ks = [validate_k(int(p)) for p in args.ks.split(",")]
     except ValueError:

@@ -280,10 +280,12 @@ class TestSelftest:
 
 def test_build_refuses_invalid_tree_under_optimize():
     # the emitted tree must be checked even when asserts are stripped
+    # (cmd_build imports treebuild when it runs, so the patch goes there)
     script = (
-        "import sys, splittree.cli as cli\n"
+        "import sys, splittree.cli as cli, splittree.treebuild as treebuild\n"
         "from splittree.treebuild import ValidationReport\n"
-        "cli.validate = lambda *args: ValidationReport(False, [(-1, 'test', 'forced')], [], False)\n"
+        "treebuild.validate = lambda *args: "
+        "ValidationReport(False, [(-1, 'test', 'forced')], [], False)\n"
         "sys.exit(cli.main(['build', '--k', '6', '--depths', '5,7,7,8,8,9']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
