@@ -29,6 +29,8 @@ EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_recor
 RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
+LEVEL_TEST = SOLVER + "TestLevelFilter::test_matches_scan_and_brute_force"
+TYPE_TEST = SOLVER + "TestSignatureType::"
 
 # (name, module, old text, new text, test ids)
 MUTANTS = [
@@ -67,6 +69,23 @@ MUTANTS = [
     ("fused-unpruned", "solver.py", "if prune and len(levels", "if len(levels", [FUSED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
+    # the level-wide masks built from byte strings, and the kept lists' order
+    ("masks-threshold-off-by-one", "solver.py", 'b"0" * r + b"1" * (256 - r)',
+     'b"0" * (r + 1) + b"1" * (255 - r)', [LEVEL_TEST]),
+    ("masks-bit-order-reversed", "solver.py", "rank.__getitem__, reversed(lane)",
+     "rank.__getitem__, lane", [LEVEL_TEST]),
+    ("masks-ranks-descending", "solver.py", "zip(values, count())", "zip(values[::-1], count())",
+     [LEVEL_TEST]),
+    ("masks-rank-past-255", "solver.py", "len(values) > 256", "len(values) > 257",
+     [LEVEL_TEST]),
+    ("masks-loop-bit-shifted", "solver.py", "ge[v] |= 1 << b", "ge[v] |= 2 << b", [LEVEL_TEST]),
+    ("fused-kept-unsorted", "solver.py", "kept = _scan_order(c for c, up in zip(order, above)",
+     "kept = list(c for c, up in zip(order, above)", [FUSED_TEST]),
+    ("level-kept-unsorted", "solver.py", "return _scan_order(c for c, up in zip(order, above)",
+     "return list(c for c, up in zip(order, above)", [LEVEL_TEST]),
+    # children stay plain tuples until a record is built
+    ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
+     [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),
     # the closed-form k = 2 level
     ("unit-edge-provenance-last", "solver.py", "(u, a[r + 1], w, cap)", "(u, a[n - 1], w, cap)",
      [UNIT_EDGE_TEST]),

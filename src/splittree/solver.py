@@ -120,6 +120,10 @@ class SolverConfig:
                 raise InputError(f"{name} must be >= 0, got {value}")
 
 
+# a sorted signature: a LeafSignature, or a child of ``_expand`` not yet recorded
+Signature = tuple[int, ...]
+
+
 @lru_cache(maxsize=1024)
 def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
     """``(pack, guard)`` for signatures of ``lanes`` values in
@@ -132,8 +136,8 @@ def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
 
 
 def _dominated_filter(
-    sigs: Iterable[LeafSignature], check_time: Callable[[], None] | None = None
-) -> list[LeafSignature]:
+    sigs: Iterable[Signature], check_time: Callable[[], None] | None = None
+) -> list[Signature]:
     """Signatures of one length not dominated by another one in the collection.
 
     A dominator always has a strictly larger element sum (the input holds
@@ -166,7 +170,7 @@ def _dominated_filter(
         hi = len(rank) - 1
     pack, guard = _word_packer(len(order[0]), hi.bit_length())
     packs = map(int.from_bytes, starmap(pack, lanes), repeat("little"))
-    kept: list[LeafSignature] = []
+    kept: list[Signature] = []
     fronts: list[int] = []
     for c, packed in zip(order, packs):
         if check_time is not None:
@@ -183,36 +187,62 @@ def _dominated_filter(
 _LEVEL_BITSET_MIN = 128
 
 
-def _dominators(
-    sigs: Collection[LeafSignature], check_time: Callable[[], None] | None = None
-) -> tuple[list[LeafSignature], list[int]]:
-    """``(order, above)`` for distinct signatures of one length: ``order``
-    is ``_dominated_filter``'s presort, and bit ``b'`` of ``above[b]`` is set
-    iff ``order[b']`` dominates ``order[b]``.  One ``check_time`` call per
-    signature.
-
-    Per lane, ``ge[v]`` masks the signatures whose value there is ``>= v``.
-    The AND of ``ge[c[p]]`` over the lanes ``p`` holds ``c`` and its
-    dominators, whose larger sums give lower bits, so ``above[b]`` is that
-    AND below bit ``b``.  Lanes of one value throughout are skipped.
-    """
+def _scan_order(sigs: Iterable[Signature]) -> list[Signature]:
+    """``sigs`` in ``_dominated_filter``'s order: by descending sum, ties
+    ascending."""
     order = sorted(sigs)
     order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
-    bits = [1 << b for b in range(len(order))]
-    columns = []  # per varying lane: ge[c[p]] of every candidate, by bit
+    return order
+
+
+def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
+    """``{v: mask}`` for one lane of ``_dominators``' order, ``values`` its
+    distinct values ascending: bit ``b`` of ``v``'s mask is set iff
+    ``lane[b] >= v``.
+
+    Up to 256 values, the lane is coded as one byte per signature, the rank
+    of its value among ``values``, last bit first, as ``int(..., 2)`` reads
+    the first character as the highest bit; ``translate`` turns the bytes
+    into the mask of each rank ``r`` in C.  Lanes of more values OR each bit
+    into its value's mask, then OR the masks from the top value down.
+    """
+    if len(values) > 256:
+        ge = dict.fromkeys(values, 0)
+        for b, v in enumerate(lane):
+            ge[v] |= 1 << b
+        down = values[::-1]
+        return dict(zip(down, accumulate(map(ge.__getitem__, down), or_)))
+    rank = dict(zip(values, count()))
+    coded = bytes(map(rank.__getitem__, reversed(lane)))
+    return {v: int(coded.translate(b"0" * r + b"1" * (256 - r)), 2) for v, r in rank.items()}
+
+
+def _dominators(
+    sigs: Collection[Signature], check_time: Callable[[], None] | None = None
+) -> tuple[list[Signature], list[int]]:
+    """``(order, above)`` for distinct signatures of one length: ``order``
+    holds them by descending sum, ties in input order (not the scan's
+    order: callers re-sort what they keep with ``_scan_order``), and bit
+    ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
+    One ``check_time`` call per signature.
+
+    Per varying lane, ``_ge_masks`` gives the mask of the signatures whose
+    value there is ``>= v``.  The AND of these masks at ``c``'s values holds
+    ``c`` and its dominators, whose strictly larger sums give lower bits, so
+    ``above[b]`` is that AND below bit ``b``.  Lanes of one value throughout
+    are skipped.
+    """
+    order = sorted(sigs, key=sum, reverse=True)
+    columns = []  # per varying lane: the mask at every candidate's value, by bit
     for lane in zip(*order):
-        values = sorted(set(lane), reverse=True)
+        values = sorted(set(lane))
         if len(values) > 1:
-            ge = dict.fromkeys(values, 0)
-            for bit, v in zip(bits, lane):
-                ge[v] |= bit
-            ge = dict(zip(values, accumulate(map(ge.__getitem__, values), or_)))  # OR top down
-            columns.append(list(map(ge.__getitem__, lane)))
+            columns.append(list(map(_ge_masks(lane, values).__getitem__, lane)))
     above = []
     for b in range(len(order)):
         if check_time is not None:
             check_time()
-        dominators = bits[b] - 1
+        dominators = (1 << b) - 1
         for column in columns:
             dominators &= column[b]
             if not dominators:
@@ -222,17 +252,18 @@ def _dominators(
 
 
 def _level_filter(
-    sigs: Collection[LeafSignature], check_time: Callable[[], None] | None = None
-) -> list[LeafSignature]:
+    sigs: Collection[Signature], check_time: Callable[[], None] | None = None
+) -> list[Signature]:
     """``_dominated_filter`` for whole levels, by the ``_dominators`` masks
     from ``_LEVEL_BITSET_MIN`` signatures on (below that the scan is faster):
-    the same kept list in the same order, as a dominated candidate has a kept
-    dominator.  One ``check_time`` call per candidate.
+    still ``_dominated_filter``'s kept list in the same order, as a dominated
+    candidate has a kept dominator and the kept ones are put in the scan's
+    order.  One ``check_time`` call per candidate.
     """
     if len(sigs) < _LEVEL_BITSET_MIN:
         return _dominated_filter(sigs, check_time)
     order, above = _dominators(sigs, check_time)
-    return [c for c, up in zip(order, above) if not up]
+    return _scan_order(c for c, up in zip(order, above) if not up)
 
 
 # (merged_lo, merged_hi, omega, cap) of one reduction step, as in MergeRecord
@@ -265,11 +296,13 @@ def _expand(
     parent_l: float,
     stats: SolverStats,
     scan: bool = True,
-) -> dict[LeafSignature, Provenance]:
+) -> dict[Signature, Provenance]:
     """The undominated non-negative children of ``a`` over ``pairs``, in
     sorted order, each with the ``(merged_lo, merged_hi, omega, cap)`` of its
     first pair.  Without ``scan``, every distinct non-negative child, in the
-    order of first generation: the caller tests domination itself.
+    order of first generation: the caller tests domination itself.  The
+    children are plain tuples; ``_record`` makes the ones that get a record
+    ``LeafSignature``s.
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
@@ -288,7 +321,8 @@ def _expand(
     ``cap = min(w + k - 1, 0)``.
     """
     n = len(a)
-    cands: dict[LeafSignature, Provenance] = {}
+    top = parent_l + k - 1
+    cands: dict[Signature, Provenance] = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
     for i, j in pairs:
@@ -308,8 +342,8 @@ def _expand(
                     child = a[:p] + (w,) + a[p:i] + a[i + 1 : j] + a[j + 1 : q] + (cap,) * (n - q)
                 else:
                     child = a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
-            child = tuple.__new__(LeafSignature, child)
-            assert child[-1] <= min(parent_l, w) + k - 1
+            # max(child) <= min(parent_l, w) + k - 1, as cap <= w + k - 1
+            assert child[-1] <= cap and child[-1] <= top
             negative = negative_of[lo, hi] = child[0] < 0
             if not negative and child not in cands:
                 cands[child] = (lo, hi, w, cap)
@@ -326,9 +360,10 @@ def _expand(
 
 
 def _record(
-    child: LeafSignature, a: LeafSignature, parent_l: float, provenance: Provenance
+    child: Signature, a: LeafSignature, parent_l: float, provenance: Provenance
 ) -> MergeRecord:
     lo, hi, inserted, cap = provenance
+    child = tuple.__new__(LeafSignature, child)
     return MergeRecord(a, lo, hi, inserted, cap, child, min(parent_l, inserted))
 
 
@@ -416,7 +451,7 @@ _FUSED_MIN_PARENTS = 32
 
 def _fused_level(
     k: int, z: int, level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
-) -> tuple[int, list[LeafSignature], dict]:
+) -> tuple[int, list[Signature], dict]:
     """``_run_levels``' step from ``level`` to length ``z``, with one
     ``_dominators`` pass over all children: the merged level size of the
     per-parent scans, the survivors and the children's first derivations.
@@ -428,7 +463,7 @@ def _fused_level(
     """
     parents = level.record_of
     merged = {}  # child -> (parent, parent_l, provenance) of its first derivation
-    same: dict[LeafSignature, LeafSignature] = {}  # groups share one tuple per child
+    same: dict[Signature, Signature] = {}  # groups share one tuple per child
     groups = []  # every parent's children
     for a in level.sorted_signatures():
         if check_time is not None:
@@ -449,14 +484,14 @@ def _fused_level(
         assert len(kept_bits) <= k * z
         stats.pruned_dominated += len(at) - len(kept_bits)
         some_kept.update(kept_bits)
-    kept = [c for c, up in zip(order, above) if not up]
+    kept = _scan_order(c for c, up in zip(order, above) if not up)
     stats.pruned_dominated += len(some_kept) - len(kept)
     return len(some_kept), kept, merged
 
 
 def _unit_edge_level(
     level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
-) -> tuple[int, list[LeafSignature], dict]:
+) -> tuple[int, list[Signature], dict]:
     """``_run_levels``' step from a ``k = 2`` level: the counters and the one
     kept child of ``_expand(2, a, _pairs(2, a), ...)`` on the level's one
     non-negative signature ``a``, built without any sibling (Huffman's
@@ -486,7 +521,7 @@ def _unit_edge_level(
     stats.pruned_dominated += len(set(a[zeros : n - 1])) - 1
     r = bisect_left(a, u)
     w, cap = (u - 1, u) if n > 2 else (0, 0)
-    child = tuple.__new__(LeafSignature, a[:r] + (w,) + (u,) * (n - r - 2))
+    child = a[:r] + (w,) + (u,) * (n - r - 2)
     assert child[-1] <= min(parent_l, w) + 1
     return 1, [child], {child: (a, parent_l, (u, a[r + 1], w, cap))}
 
@@ -515,7 +550,7 @@ def _run_levels(
         else:
             parents = levels[-1].record_of
             # child -> (parent, parent_l, provenance) of its first derivation
-            merged: dict[LeafSignature, tuple[LeafSignature, float, Provenance]] = {}
+            merged: dict[Signature, tuple[LeafSignature, float, Provenance]] = {}
             for a in levels[-1].sorted_signatures():
                 if check_time is not None:
                     check_time()
@@ -534,7 +569,7 @@ def _run_levels(
                 f"level {z} holds {len(kept)} signatures, over the "
                 f"limit of {config.max_level_size}"
             )
-        record_of = {c: _record(c, *merged[c]) for c in kept}
+        record_of = {r.child: r for r in (_record(c, *merged[c]) for c in kept)}
         levels.append(LevelSet(z, frozenset(record_of), record_of))
         if not record_of:
             break

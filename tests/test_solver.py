@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from conftest import REFERENCE_DEPTHS, REFERENCE_K, REFERENCE_LEVELS
 from splittree.errors import InputError, LimitError
 from splittree.oracle import kraft_check, oracle_recursive
-from splittree.signature import _reduce, canonicalize, is_dominated, omega, truncate
+from splittree.signature import LeafSignature, _reduce, canonicalize, is_dominated, omega, truncate
 from splittree.solver import (
     LevelSet,
     MergeRecord,
     SolverConfig,
     SolverStats,
     _dominated_filter,
+    _dominators,
     _expand,
     _generate,
     _level_filter,
@@ -256,14 +257,32 @@ class TestLevelFilter:
                     yield sorted({canonicalize([0] * low + [rng.randint(1, 6) for _ in range(mid)]
                                                + [7] * high) for _ in range(30)})
 
+    @staticmethod
+    def wide_lane_sets():
+        # levels of 500 signatures or more whose first lane holds exactly 256
+        # distinct values (the most one byte codes) or 257 and whose other
+        # lanes hold fewer, all from 0 up or all from -2**63 up
+        rng = random.Random(17)
+        for distinct in (256, 257):
+            for base in (0, -(2**63)):
+                yield sorted({canonicalize([base + i,
+                                            base + 2 * distinct + rng.randrange(distinct),
+                                            base + 4 * distinct + rng.randrange(3)])
+                              for i in range(distinct) for _ in range(2)})
+
     def test_matches_scan_and_brute_force(self, monkeypatch):
         monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)  # masks at every size
-        sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets())
+        sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets(),
+                               TestDominatedFilter.word_limit_sets(), self.wide_lane_sets())
         for sigs in sets:
             calls = []
-            kept = _level_filter(sigs, lambda: calls.append(None))
+            # reversed: ties of equal sum reach the masks in descending order
+            kept = _level_filter(sigs[::-1], lambda: calls.append(None))
             assert kept == _dominated_filter(sigs) == TestDominatedFilter.maximal(sigs), sigs
             assert len(calls) == len(sigs)
+        one = canonicalize([3, 5])
+        assert _dominators([]) == ([], [])
+        assert _dominators([one]) == ([one], [0])
 
     def test_matches_scan_on_unpruned_levels(self, monkeypatch):
         monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)
@@ -310,6 +329,53 @@ class TestFusedLevels:
                 monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
                 results.append(self.outputs(k, depths, config))
             assert results[0] == results[1], (k, depths, config)
+
+
+class TestSignatureType:
+    """Inside the search children are plain tuples; every signature that
+    leaves it, as a level key or in a record, must be a ``LeafSignature``."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(43)
+        yield REFERENCE_K, REFERENCE_DEPTHS
+        yield 2, [rng.randint(0, 40) for _ in range(30)]
+        yield 10, [13, 16, 18, 18, 18, 12, 14, 12, 15, 18, 15, 15, 17, 15]
+        for _ in range(20):
+            k, n = rng.randint(2, 8), rng.randint(2, 9)
+            yield k, [rng.randint(0, k * n // 2) for _ in range(n)]
+
+    @staticmethod
+    def assert_leaf_signatures(records):
+        for record in records:
+            assert type(record.parent) is LeafSignature, record
+            assert type(record.child) is LeafSignature, record
+
+    @pytest.mark.parametrize("width", [0, 10**9])  # masks everywhere, scans everywhere
+    def test_levels_and_witnesses(self, monkeypatch, width):
+        monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
+        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
+        realizable = 0
+        for k, depths in self.instances():
+            # unpruned, the 14 bounds at k = 10 take seconds
+            for prune in (True, False) if k == 2 or len(depths) < 10 else (True,):
+                config = SolverConfig(prune_level_domination=prune)
+                for level in trace_levels(k, depths, config):
+                    assert all(type(sig) is LeafSignature for sig in level.signatures)
+                    assert all(type(sig) is LeafSignature for sig in level.record_of)
+                    self.assert_leaf_signatures(level.record_of.values())
+                decision = decide(k, depths, config)
+                self.assert_leaf_signatures(decision.witness_chain)
+                realizable += bool(decision.witness_chain)
+        assert realizable >= 10
+
+    def test_generator_outputs(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            k, n = rng.randint(2, 8), rng.randint(2, 9)
+            sig = canonicalize(rng.randint(0, k * n // 2) for _ in range(n))
+            for generate in (generate_children_naive, generate_children_fast):
+                self.assert_leaf_signatures(generate(k, sig))
 
 
 class TestUnitEdgeLevels:
