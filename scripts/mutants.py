@@ -105,6 +105,26 @@ MUTANTS = [
      "list(sig) == sorted(sig)",
      [SOLVER + "TestPruneLevel::test_rejects_float_value",
       SOLVER + "TestPruneLevel::test_rejects_bool_value"]),
+    # the value classes written without dataclasses
+    ("levelset-unchecked", "solver.py", "        if any(\n            not (isinstance(sig",
+     "        if False and any(\n            not (isinstance(sig",
+     [SOLVER + "TestPruneLevel::test_rejects_str_value"]),
+    ("levelset-writable", "solver.py",
+     'raise AttributeError(f"LevelSet is read-only: cannot change {name!r}")',
+     "vars(self)[name] = value", [SOLVER + "TestPruneLevel::test_level_is_read_only"]),
+    ("stats-fields-swapped", "solver.py",
+     "        self.pruned_negative = pruned_negative\n"
+     "        self.pruned_dominated = pruned_dominated\n",
+     "        self.pruned_dominated = pruned_dominated\n"
+     "        self.pruned_negative = pruned_negative\n",
+     [SOLVER + "TestDecide::test_stats_counters_fill_in"]),
+    ("stats-eq-always", "solver.py", "return vars(self) == vars(other) if", "return True if",
+     [SOLVER + "TestDecide::test_stats_counters_fill_in"]),
+    ("treenode-eq-no-children", "treebuild.py",
+     "self.leaf_label, self.children) == (\n"
+     "                other.node_id, other.depth, other.leaf_label, other.children)",
+     "self.leaf_label) == (\n                other.node_id, other.depth, other.leaf_label)",
+     [TREEBUILD + "test_tree_equality_sees_every_field"]),
 ]
 
 

@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +51,7 @@ def outcome(k: int, depths: list[int], prune: bool) -> str:
         for level in trace_levels(k, depths, config)
     ]
     decision = decide(k, depths, config)
-    stats = asdict(decision.stats)
+    stats = dict(vars(decision.stats))
     del stats["wall_time_s"]
     return repr((k, depths, prune, levels, decision.realizable, decision.witness_chain,
                  sorted(stats.items())))

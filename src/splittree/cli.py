@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
 
 from .errors import InputError, LimitError
 from .signature import LeafSignature, validate_k
-from .solver import Decision, MergeRecord, SolverConfig, _validate_instance, decide, trace_levels
+from .solver import Decision, SolverConfig, _validate_instance, decide, trace_levels
 
 EXIT_REALIZABLE = 0
 EXIT_UNREALIZABLE = 1
@@ -66,12 +65,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(not args.no_prune, args.max_level_size, args.max_seconds)
 
 
-def _record_dict(rec: MergeRecord) -> dict:
-    return {f.name: getattr(rec, f.name) for f in fields(MergeRecord)}
-
-
 def _stats_dict(decision: Decision) -> dict:
-    out = asdict(decision.stats)
+    out = dict(vars(decision.stats))
     del out["wall_time_s"]  # stdout must be reproducible byte for byte
     return out
 
@@ -93,7 +88,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         payload = {
             "realizable": decision.realizable,
             "stats": _stats_dict(decision),
-            "witness": [_record_dict(r) for r in decision.witness_chain],
+            "witness": [r._asdict() for r in decision.witness_chain],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -139,7 +134,7 @@ def _trace_json(k: int, levels) -> str:
                 "z": level.z,
                 "signatures": [list(s) for s in level.sorted_signatures()],
                 "arrows": [
-                    _record_dict(level.record_of[s])
+                    level.record_of[s]._asdict()
                     for s in level.sorted_signatures()
                     if s in level.record_of
                 ],

@@ -9,9 +9,8 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, LimitError
 from .signature import canonicalize, omega, validate_k
@@ -24,8 +23,7 @@ _recursive_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
 _enumerate_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
 
 
-@dataclass
-class OracleConfig:
+class OracleConfig(NamedTuple):
     """Which oracle to run and how far it may be pushed."""
 
     method: str = "recursive"  # recursive | enumerate | kraft

@@ -13,11 +13,10 @@ import math
 import struct
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, count, repeat, starmap
 from operator import itemgetter, or_
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
 from .signature import (
@@ -28,8 +27,7 @@ from .signature import (
 )
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(NamedTuple):
     """Provenance of one reduction step.
 
     ``omega`` is the value actually inserted into the child (the raw merge
@@ -47,7 +45,6 @@ class MergeRecord:
     l_value: int
 
 
-@dataclass(frozen=True)
 class LevelSet:
     """Signatures of one length ``z`` surviving so far, with one record each.
 
@@ -55,37 +52,51 @@ class LevelSet:
     sorted, of ``int`` values (no ``bool``) and have length ``z``
     (InputError otherwise).  ``|signatures| <= z**k`` is asserted by the
     solver when a pruned level is built; unpruned levels can exceed it.
+    A level is read-only: assigning an attribute raises AttributeError.
     """
 
-    z: int
-    signatures: frozenset[LeafSignature]
-    record_of: dict[LeafSignature, MergeRecord]
-
-    def __post_init__(self) -> None:
+    def __init__(self, z: int, signatures: frozenset[LeafSignature],
+                 record_of: dict[LeafSignature, MergeRecord]) -> None:
         if any(
             not (isinstance(sig, LeafSignature) or canonicalize(sig) == tuple(sig))
-            or len(sig) != self.z
-            for sig in self.signatures
+            or len(sig) != z
+            for sig in signatures
         ):
-            raise InputError(f"level {self.z} takes only sorted signatures of length {self.z}")
+            raise InputError(f"level {z} takes only sorted signatures of length {z}")
+        vars(self).update(z=z, signatures=signatures, record_of=record_of)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"LevelSet is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def sorted_signatures(self) -> list[LeafSignature]:
         return sorted(self.signatures)
 
 
-@dataclass
 class SolverStats:
-    """Counters filled in while the level sets are computed."""
+    """Counters filled in while the level sets are computed.
 
-    signatures_generated: int = 0
-    pruned_negative: int = 0
-    pruned_dominated: int = 0
-    peak_level_size: int = 0
-    wall_time_s: float = 0.0
+    ``vars(stats)`` is their dict form, with the keys in this order."""
+
+    def __init__(self, signatures_generated: int = 0, pruned_negative: int = 0,
+                 pruned_dominated: int = 0, peak_level_size: int = 0,
+                 wall_time_s: float = 0.0) -> None:
+        self.signatures_generated = signatures_generated
+        self.pruned_negative = pruned_negative
+        self.pruned_dominated = pruned_dominated
+        self.peak_level_size = peak_level_size
+        self.wall_time_s = wall_time_s
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is SolverStats else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"SolverStats({fields})"
 
 
-@dataclass
-class Decision:
+class Decision(NamedTuple):
     """Outcome of ``decide``: verdict, witness records, counters.
 
     ``witness_chain`` runs from the first merge applied to the input down
@@ -98,7 +109,6 @@ class Decision:
     stats: SolverStats
 
 
-@dataclass
 class SolverConfig:
     """Knobs for ``decide``/``trace_levels``.
 
@@ -109,15 +119,14 @@ class SolverConfig:
     ever returning a wrong verdict; both must be >= 0 (0 is a real limit).
     """
 
-    prune_level_domination: bool = True
-    max_level_size: int | None = None
-    max_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("max_level_size", "max_seconds"):
-            value = getattr(self, name)
+    def __init__(self, prune_level_domination: bool = True, max_level_size: int | None = None,
+                 max_seconds: float | None = None) -> None:
+        for name, value in (("max_level_size", max_level_size), ("max_seconds", max_seconds)):
             if value is not None and not value >= 0:  # NaN fails too
                 raise InputError(f"{name} must be >= 0, got {value}")
+        self.prune_level_domination = prune_level_domination
+        self.max_level_size = max_level_size
+        self.max_seconds = max_seconds
 
 
 # a sorted signature: a LeafSignature, or a child of ``_expand`` not yet recorded

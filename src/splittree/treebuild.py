@@ -11,20 +11,33 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InputError, LimitError
 from .signature import canonicalize, omega, validate_k
 from .solver import MergeRecord, _start_signature, _validate_instance
 
 
-@dataclass
 class TreeNode:
-    node_id: int
-    depth: int
-    leaf_label: int | None = None
-    children: list[tuple[int, "TreeNode"]] = field(default_factory=list)
+    """One vertex: a leaf carries ``leaf_label``, an internal vertex its
+    ``(edge_length, child)`` pairs, left to right."""
+
+    def __init__(self, node_id: int, depth: int, leaf_label: int | None = None,
+                 children: list[tuple[int, TreeNode]] | None = None) -> None:
+        self.node_id = node_id
+        self.depth = depth
+        self.leaf_label = leaf_label
+        self.children = [] if children is None else children
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.node_id, self.depth, self.leaf_label, self.children) == (
+                other.node_id, other.depth, other.leaf_label, other.children)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"TreeNode(node_id={self.node_id!r}, depth={self.depth!r}, "
+                f"leaf_label={self.leaf_label!r}, children={self.children!r})")
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -44,8 +57,7 @@ def _preorder(root: TreeNode) -> Iterator[TreeNode]:
         stack.extend(child for _, child in reversed(node.children))
 
 
-@dataclass
-class SplitTree:
+class SplitTree(NamedTuple):
     k: int
     root: TreeNode
 
@@ -56,8 +68,7 @@ class SplitTree:
         return sorted(leaf.depth for leaf in self.leaves())
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: list[tuple[int, str, str]]
     leaf_depths: list[int]

@@ -95,13 +95,17 @@ def test_modules_each_command_loads(argv, extra, uses_json):
     if argv[0] != "selftest":
         argv = argv[:1] + ["--k", str(REFERENCE_K), "--depths",
                            ",".join(map(str, REFERENCE_DEPTHS))] + argv[1:]
+    watched = ("json", "dataclasses", "inspect")
     line = _fresh("import sys\n"
-                  "json_before = 'json' in sys.modules\n"
+                  f"before = [m in sys.modules for m in {watched!r}]\n"
                   "import splittree.cli as cli\n"
                   f"code = cli.main({argv!r})\n"
-                  f"print(code, json_before, 'json' in sys.modules, {LOADED})\n")
-    code, json_before, json_after, *loaded = line.split()
+                  f"print(code, *before, *[m in sys.modules for m in {watched!r}], {LOADED})\n")
+    code, *words = line.split()
+    before, after, loaded = words[:3], words[3:6], words[6:]
     assert code == "0", line
     assert loaded == sorted(LOADED_BY_EVERY_COMMAND | extra)
-    # json loads only for the JSON formats, unless the interpreter had it already
-    assert json_after == str(json_before == "True" or uses_json)
+    # json loads only for the JSON formats, dataclasses and inspect for no
+    # command, unless the interpreter had them already
+    assert after == [str(had == "True" or needed)
+                     for had, needed in zip(before, (uses_json, False, False))], line

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+import types
 from pathlib import Path
 
 import pytest
@@ -75,7 +75,7 @@ def search_digest():
     digest = hashlib.sha256()
     for k, depths, config in instances:
         decision = decide(k, depths, config)
-        stats = asdict(decision.stats)
+        stats = dict(vars(decision.stats))
         del stats["wall_time_s"]
         levels = [(level.z, level.sorted_signatures(), list(level.record_of.items()))
                   for level in trace_levels(k, depths, config)]
@@ -307,7 +307,7 @@ class TestFusedLevels:
             decision = decide(k, depths, config)
         except LimitError as exc:
             return str(exc)
-        stats = asdict(decision.stats)
+        stats = dict(vars(decision.stats))
         del stats["wall_time_s"]
         flat = [(lv.z, lv.signatures, list(lv.record_of.items())) for lv in levels]
         return flat, decision.realizable, decision.witness_chain, stats
@@ -435,6 +435,15 @@ class TestPruneLevel:
         level = self._level([[0, 9], [3, 5], [4, 4]])
         assert len(prune_level(level).signatures) == 3
 
+    def test_level_is_read_only(self):
+        level = self._level([[3, 7]])
+        for name in ("z", "signatures", "record_of"):
+            with pytest.raises(AttributeError):
+                setattr(level, name, None)
+            with pytest.raises(AttributeError):
+                delattr(level, name)
+        assert (level.z, level.signatures, level.record_of) == (2, {(3, 7)}, {})
+
     def test_rejects_unsorted_signature(self):
         # lanes compare by position, so the unsorted (4, 1) would hide that
         # (1, 3) is dominated by (1, 4)
@@ -483,6 +492,12 @@ class TestDecide:
         decision = decide(REFERENCE_K, REFERENCE_DEPTHS)
         assert decision.realizable
         assert len(decision.witness_chain) == 5
+        # scripts/pool_hash.py hashes the records in this form
+        assert repr(decision.witness_chain[0]) == (
+            "MergeRecord(parent=LeafSignature([5, 7, 7, 8, 8, 9]), merged_lo=5, merged_hi=9, "
+            "omega=4, cap=9, child=LeafSignature([4, 7, 7, 8, 8]), l_value=4)")
+        with pytest.raises(AttributeError):
+            decision.witness_chain[0].omega = 5
 
     def test_same_outputs_under_optimize(self):
         # no output of the search may depend on asserts being on
@@ -628,6 +643,12 @@ class TestDecide:
         assert stats.signatures_generated > 0
         assert stats.peak_level_size == 6
         assert stats.wall_time_s >= 0
+        # the dict form, in the order the CLI prints it
+        assert list(vars(stats)) == ["signatures_generated", "pruned_negative",
+                                     "pruned_dominated", "peak_level_size", "wall_time_s"]
+        assert SolverStats(**vars(stats)) == stats
+        for name, value in vars(stats).items():
+            assert SolverStats(**{**vars(stats), name: value + 1}) != stats, name
 
 
 class TestTraceLevels:
@@ -813,6 +834,25 @@ class TestLimits:
         with pytest.raises(LimitError):
             decide(10, h10 + [24, 26, 25, 23, 27, 24], SolverConfig(max_seconds=2.0))
         assert 2.0 <= time.perf_counter() - start < 2.5
+
+    def test_time_limit_fires_at_first_check_past_deadline(self, monkeypatch):
+        # the same bound without the machine's speed: the solver's clock
+        # reads 0 at the start and one more at every check, so a limit of L
+        # seconds lets exactly L checks pass and the next one raise
+        clock = itertools.count()
+        monkeypatch.setattr("splittree.solver.time",
+                            types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        k, depths = 10, [13, 16, 18, 18, 18, 12, 14, 12, 15, 18, 15, 15, 17, 15]
+        full = decide(k, depths, SolverConfig(max_seconds=math.inf))
+        checks = next(clock) - 2  # less the start and the wall-time readings
+        assert checks > 1000 and full.stats.wall_time_s == checks + 1
+        for limit in (0, 1, checks // 2, checks - 1):
+            clock = itertools.count()
+            with pytest.raises(LimitError):
+                decide(k, depths, SolverConfig(max_seconds=limit))
+            assert next(clock) == limit + 2, limit
+        clock = itertools.count()
+        assert decide(k, depths, SolverConfig(max_seconds=checks)) == full
 
     def test_zero_level_size_is_a_limit(self):
         with pytest.raises(LimitError):

@@ -338,6 +338,15 @@ class TestExport:
             assert parse_tree(export_tree(tree, "json")) == tree
         assert parse_tree(caterpillar_json(100)) == caterpillar(100)
 
+    def test_tree_equality_sees_every_field(self):
+        assert reference_tree() == reference_tree()
+        for name, value in (("node_id", 7), ("depth", 4), ("leaf_label", 9),
+                            ("children", [(1, TreeNode(1, 1))])):
+            tree = reference_tree()
+            setattr(tree.root.children[0][1], name, value)
+            assert tree != reference_tree(), name
+        assert TreeNode(0, 0) != (0, 0, None, [])
+
     @pytest.mark.parametrize(
         "text, error",
         [("[", InputError), ('{"k": 2}', InputError), ("null", InputError),
