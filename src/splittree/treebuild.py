@@ -10,6 +10,7 @@ depths respect the requested bounds.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from typing import Iterator, NamedTuple
 
@@ -35,6 +36,7 @@ class TreeNode:
                 other.node_id, other.depth, other.leaf_label, other.children)
         return NotImplemented
 
+    @reprlib.recursive_repr()
     def __repr__(self) -> str:
         return (f"TreeNode(node_id={self.node_id!r}, depth={self.depth!r}, "
                 f"leaf_label={self.leaf_label!r}, children={self.children!r})")

@@ -215,6 +215,8 @@ class TestValidate:
             relabel(cyclic_tree(), [1, 1])
         with pytest.raises(InputError, match="node 0 "):
             cyclic_tree().leaves()
+        # so does the repr, for a failing test's message
+        assert repr(cyclic_tree().root).endswith("children=[])), (1, ...)])")
 
     def test_relabel_refuses_too_tight_bounds(self):
         with pytest.raises(InputError):
