@@ -4,10 +4,11 @@
 
 Each mutant replaces one piece of text, found exactly once, in a module of
 ``src/splittree``.  It is applied to a temporary copy of ``src/`` and
-``tests/``, and its named tests run there in one pytest process; mutants run
-one after another.  A mutant is killed when pytest reports a failing test
-or its run takes longer than 15 minutes (a mutant may keep a loop from
-ending).
+``tests/`` (with a read-only ``bench/pool.json`` for the tests that read the
+pinned outputs), and its named tests run there in one pytest process;
+mutants run one after another.  A mutant is killed when pytest reports a
+failing test or its run takes longer than 15 minutes (a mutant may keep a
+loop from ending).
 First the named tests must pass on the unmutated copy.  The script prints
 killed or survived per mutant and exits 1 if any mutant survives, 2 if the
 unmutated tests fail or a mutant's text no longer occurs exactly once.
@@ -30,6 +31,7 @@ RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
 LEVEL_TEST = SOLVER + "TestLevelFilter::test_matches_scan_and_brute_force"
+PINNED_TEST = "tests/test_cli.py::test_pinned_stdout"
 TYPE_TEST = SOLVER + "TestSignatureType::"
 
 # (name, module, old text, new text, test ids)
@@ -66,7 +68,8 @@ MUTANTS = [
      [FUSED_TEST]),
     ("fused-size-all-children", "solver.py", "some_kept.update(kept_bits)",
      "some_kept.update(at)", [FUSED_TEST]),
-    ("fused-unpruned", "solver.py", "if prune and len(levels", "if len(levels", [FUSED_TEST]),
+    ("fused-unpruned", "solver.py", "fused = prune and len(parents)", "fused = len(parents)",
+     [FUSED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
     # the level-wide masks built from byte strings, and the kept lists' order
@@ -86,6 +89,13 @@ MUTANTS = [
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),
+    # the counts each level step returns, and their sums
+    ("fused-drop-as-level-wide", "solver.py",
+     "(pairs, negatives, dominated, len(some_kept) - len(kept))",
+     "(pairs, negatives, 0, dominated + len(some_kept) - len(kept))", [FUSED_TEST]),
+    ("levels-negatives-as-dominated", "solver.py",
+     "dominated += dropped + dropped_level", "dominated += dropped + dropped_level + negative",
+     [PINNED_TEST]),
     # the closed-form k = 2 level
     ("unit-edge-provenance-last", "solver.py", "(u, a[r + 1], w, cap)", "(u, a[n - 1], w, cap)",
      [UNIT_EDGE_TEST]),
@@ -117,7 +127,7 @@ MUTANTS = [
      "        self.pruned_dominated = pruned_dominated\n",
      "        self.pruned_dominated = pruned_dominated\n"
      "        self.pruned_negative = pruned_negative\n",
-     [SOLVER + "TestDecide::test_stats_counters_fill_in"]),
+     [SOLVER + "TestDecide::test_stats_counters_fill_in", PINNED_TEST]),
     ("stats-eq-always", "solver.py", "return vars(self) == vars(other) if", "return True if",
      [SOLVER + "TestDecide::test_stats_counters_fill_in"]),
     ("treenode-eq-no-children", "treebuild.py",
@@ -148,6 +158,9 @@ def main() -> int:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / "bench").mkdir()
+        pool = shutil.copy(ROOT / "bench" / "pool.json", copy / "bench")
+        os.chmod(pool, 0o444)
         all_ids = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
         if run_tests(copy, all_ids) != 0:
             print("the named tests fail or time out on the unmutated sources")

@@ -4,7 +4,11 @@ Starting from the input signature, every level applies all single merge
 steps to every surviving signature, discards candidates that are dominated
 by a sibling candidate, and keeps one predecessor record per distinct
 signature so a witness tree can be rebuilt afterwards.  A signature is
-realizable iff a non-negative singleton survives down at length 1.
+realizable iff a non-negative singleton survives down at length 1.  One level
+is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
+level's sorted ``(signature, l_value)`` pairs to the kept children, each
+child's first derivation and the counts ``(pairs, negatives, dominated within
+a parent, dominated level-wide)``, which ``_run_levels`` alone sums.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ def _dominators(
     holds them by descending sum, ties in input order (not the scan's
     order: callers re-sort what they keep with ``_scan_order``), and bit
     ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
-    One ``check_time`` call per signature.
+    One ``check_time`` call per mask column, then one per signature.
 
     Per varying lane, ``_ge_masks`` gives the mask of the signatures whose
     value there is ``>= v``.  The AND of these masks at ``c``'s values holds
@@ -246,6 +250,8 @@ def _dominators(
     for lane in zip(*order):
         values = sorted(set(lane))
         if len(values) > 1:
+            if check_time is not None:
+                check_time()
             columns.append(list(map(_ge_masks(lane, values).__getitem__, lane)))
     above = []
     for b in range(len(order)):
@@ -267,7 +273,7 @@ def _level_filter(
     from ``_LEVEL_BITSET_MIN`` signatures on (below that the scan is faster):
     still ``_dominated_filter``'s kept list in the same order, as a dominated
     candidate has a kept dominator and the kept ones are put in the scan's
-    order.  One ``check_time`` call per candidate.
+    order.  One ``check_time`` call per candidate and per mask column.
     """
     if len(sigs) < _LEVEL_BITSET_MIN:
         return _dominated_filter(sigs, check_time)
@@ -299,19 +305,15 @@ def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
 
 
 def _expand(
-    k: int,
-    a: LeafSignature,
-    pairs: list[tuple[int, int]],
-    parent_l: float,
-    stats: SolverStats,
-    scan: bool = True,
-) -> dict[Signature, Provenance]:
-    """The undominated non-negative children of ``a`` over ``pairs``, in
-    sorted order, each with the ``(merged_lo, merged_hi, omega, cap)`` of its
-    first pair.  Without ``scan``, every distinct non-negative child, in the
-    order of first generation: the caller tests domination itself.  The
-    children are plain tuples; ``_record`` makes the ones that get a record
-    ``LeafSignature``s.
+    k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float, scan: bool = True
+) -> tuple[dict[Signature, Provenance], int, int]:
+    """``(children, negatives, dominated)``: the undominated non-negative
+    children of ``a`` over ``pairs`` in sorted order, each with the
+    ``(merged_lo, merged_hi, omega, cap)`` of its first pair; the pairs that
+    give a negative child; the distinct children a sibling dominates.
+    Without ``scan``, every distinct non-negative child in the order of first
+    generation and 0 dominated: the caller tests domination itself.  Children
+    are plain tuples; ``_record`` makes the recorded ones ``LeafSignature``s.
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
@@ -357,15 +359,12 @@ def _expand(
             if not negative and child not in cands:
                 cands[child] = (lo, hi, w, cap)
         negatives += negative
-    stats.signatures_generated += len(pairs)
-    stats.pruned_negative += negatives
     if not scan:
-        return cands
+        return cands, negatives, 0
     kept = _dominated_filter(cands)
-    stats.pruned_dominated += len(cands) - len(kept)
     assert len(kept) <= k * (len(a) - 1)
     kept.sort()
-    return {c: cands[c] for c in kept}
+    return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
 
 def _record(
@@ -383,7 +382,11 @@ def _generate(
     parent_l: float,
     stats: SolverStats | None,
 ) -> list[MergeRecord]:
-    children = _expand(k, a, pairs, parent_l, stats or SolverStats())
+    children, negatives, dominated = _expand(k, a, pairs, parent_l)
+    if stats is not None:
+        stats.signatures_generated += len(pairs)
+        stats.pruned_negative += negatives
+        stats.pruned_dominated += dominated
     return [_record(c, a, parent_l, p) for c, p in children.items()]
 
 
@@ -458,51 +461,61 @@ def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
 _FUSED_MIN_PARENTS = 32
 
 
-def _fused_level(
-    k: int, z: int, level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
-) -> tuple[int, list[Signature], dict]:
-    """``_run_levels``' step from ``level`` to length ``z``, with one
-    ``_dominators`` pass over all children: the merged level size of the
-    per-parent scans, the survivors and the children's first derivations.
-
-    A child is dominated within its parent iff a sibling dominates it.  What
-    a parent drops has a dominator that it keeps, so all children and the
-    kept ones have the same survivors; a survivor is kept by every parent
-    generating it, so its first derivation is the one of the scans.
+def _expand_level(
+    k: int, z: int, parents: list[tuple[LeafSignature, float]], prune: bool,
+    check_time: Callable[[], None] | None,
+) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
+    """``_run_levels``' step to length ``z``: every parent's children, then,
+    if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
+    parents on, a pruned level reads both off one ``_dominators`` pass over
+    all children.  A child is dominated within its parent iff a sibling
+    dominates it.  What a parent drops has a dominator that it keeps, so all
+    children and the kept ones have the same survivors; a survivor is kept by
+    every parent generating it, so its first derivation is the one of the
+    per-parent scans.
     """
-    parents = level.record_of
+    fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     merged = {}  # child -> (parent, parent_l, provenance) of its first derivation
     same: dict[Signature, Signature] = {}  # groups share one tuple per child
-    groups = []  # every parent's children
-    for a in level.sorted_signatures():
+    groups = []  # every parent's children, when fused
+    pairs = negatives = dominated = 0
+    for a, parent_l in parents:
         if check_time is not None:
             check_time()
-        parent_l = parents[a].l_value if parents else math.inf
-        children = _expand(k, a, _pairs(k, a), parent_l, stats, scan=False)
+        ij = _pairs(k, a)
+        children, negative, dropped = _expand(k, a, ij, parent_l, not fused)
+        pairs += len(ij)
+        negatives += negative
+        dominated += dropped
         for child, provenance in children.items():
             if child not in merged:
                 merged[child] = (a, parent_l, provenance)
-        groups.append([same.setdefault(c, c) for c in children])
+        if fused:
+            groups.append([same.setdefault(c, c) for c in children])
+    if not fused:
+        kept = _level_filter(merged, check_time) if prune else list(merged)
+        return kept, merged, (pairs, negatives, dominated, len(merged) - len(kept))
     order, above = _dominators(merged, check_time)
     index = dict(zip(order, count()))
     some_kept: set[int] = set()  # bits of children a parent keeps
     for group in groups:
+        if check_time is not None:
+            check_time()
         at = list(map(index.__getitem__, group))
         mask = sum(map((1).__lshift__, at))
         kept_bits = [b for b in at if not above[b] & mask]
         assert len(kept_bits) <= k * z
-        stats.pruned_dominated += len(at) - len(kept_bits)
+        dominated += len(at) - len(kept_bits)
         some_kept.update(kept_bits)
     kept = _scan_order(c for c, up in zip(order, above) if not up)
-    stats.pruned_dominated += len(some_kept) - len(kept)
-    return len(some_kept), kept, merged
+    return kept, merged, (pairs, negatives, dominated, len(some_kept) - len(kept))
 
 
 def _unit_edge_level(
-    level: LevelSet, stats: SolverStats, check_time: Callable[[], None] | None
-) -> tuple[int, list[Signature], dict]:
-    """``_run_levels``' step from a ``k = 2`` level: the counters and the one
-    kept child of ``_expand(2, a, _pairs(2, a), ...)`` on the level's one
+    parents: list[tuple[LeafSignature, float]], check_time: Callable[[], None] | None
+) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
+    """``_expand_level`` for ``k = 2``: the one kept child and the counts of
+    ``_expand(2, a, _pairs(2, a), parent_l)`` on the level's one
     non-negative signature ``a``, built without any sibling (Huffman's
     exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
     - the pair ``(i, i+1)`` with ``a[i] = v`` merges to ``w = v-1``, ``cap =
@@ -518,28 +531,24 @@ def _unit_edge_level(
     """
     if check_time is not None:
         check_time()
-    (a,) = level.signatures
-    parent_l = level.record_of[a].l_value if level.record_of else math.inf
+    ((a, parent_l),) = parents
     n = len(a)
     u = a[n - 2]
     zeros = bisect_right(a, 0, 0, n - 1)
-    stats.signatures_generated += n - 1
-    stats.pruned_negative += zeros
     if u < 1:
-        return 0, [], {}
-    stats.pruned_dominated += len(set(a[zeros : n - 1])) - 1
+        return [], {}, (n - 1, zeros, 0, 0)
     r = bisect_left(a, u)
     w, cap = (u - 1, u) if n > 2 else (0, 0)
     child = a[:r] + (w,) + (u,) * (n - r - 2)
     assert child[-1] <= min(parent_l, w) + 1
-    return 1, [child], {child: (a, parent_l, (u, a[r + 1], w, cap))}
+    merged = {child: (a, parent_l, (u, a[r + 1], w, cap))}
+    return [child], merged, (n - 1, zeros, len(set(a[zeros : n - 1])) - 1, 0)
 
 
 def _run_levels(
     k: int, d: Iterable[int], config: SolverConfig
 ) -> tuple[list[LevelSet], SolverStats]:
     sig = _validate_instance(k, d)
-    stats = SolverStats()
     start = time.perf_counter()
     check_time = None
     if config.max_seconds is not None:
@@ -550,27 +559,18 @@ def _run_levels(
                 raise LimitError(f"time limit of {config.max_seconds}s exceeded at level {z}")
 
     prune = config.prune_level_domination
-    levels = [LevelSet(len(sig), frozenset({_start_signature(k, sig)}), {})]
+    first = _start_signature(k, sig)
+    levels = [LevelSet(len(sig), frozenset({first}), {})]
+    parents = [(first, math.inf)]
+    generated = negatives = dominated = 0
     for z in range(len(sig) - 1, 0, -1):
-        if k == 2:
-            size, kept, merged = _unit_edge_level(levels[-1], stats, check_time)
-        elif prune and len(levels[-1].signatures) >= _FUSED_MIN_PARENTS:
-            size, kept, merged = _fused_level(k, z, levels[-1], stats, check_time)
-        else:
-            parents = levels[-1].record_of
-            # child -> (parent, parent_l, provenance) of its first derivation
-            merged: dict[Signature, tuple[LeafSignature, float, Provenance]] = {}
-            for a in levels[-1].sorted_signatures():
-                if check_time is not None:
-                    check_time()
-                parent_l = parents[a].l_value if parents else math.inf
-                for child, provenance in _expand(k, a, _pairs(k, a), parent_l, stats).items():
-                    if child not in merged:
-                        merged[child] = (a, parent_l, provenance)
-            size, kept = len(merged), list(merged)
-            if prune:
-                kept = _level_filter(kept, check_time)
-                stats.pruned_dominated += size - len(kept)
+        kept, merged, (pairs, negative, dropped, dropped_level) = (
+            _unit_edge_level(parents, check_time) if k == 2
+            else _expand_level(k, z, parents, prune, check_time))
+        generated += pairs
+        negatives += negative
+        dominated += dropped + dropped_level
+        size = len(kept) + dropped_level
         # z >= 2 and size < 2**k imply size < z**k without building the bignum
         assert not prune or (z >= 2 and k >= size.bit_length()) or size <= z**k
         if config.max_level_size is not None and len(kept) > config.max_level_size:
@@ -578,14 +578,17 @@ def _run_levels(
                 f"level {z} holds {len(kept)} signatures, over the "
                 f"limit of {config.max_level_size}"
             )
-        record_of = {r.child: r for r in (_record(c, *merged[c]) for c in kept)}
+        record_of = {}  # a loop, not a comprehension: small instances pay its setup per level
+        for c in kept:
+            record = _record(c, *merged[c])
+            record_of[record.child] = record
         levels.append(LevelSet(z, frozenset(record_of), record_of))
         if not record_of:
             break
+        parents = [(c, record_of[c].l_value) for c in sorted(record_of)]
 
-    stats.peak_level_size = max(len(level.signatures) for level in levels)
-    stats.wall_time_s = time.perf_counter() - start
-    return levels, stats
+    peak = max(len(level.signatures) for level in levels)
+    return levels, SolverStats(generated, negatives, dominated, peak, time.perf_counter() - start)
 
 
 def trace_levels(

@@ -25,6 +25,7 @@ from splittree.solver import (
     _dominated_filter,
     _dominators,
     _expand,
+    _expand_level,
     _generate,
     _level_filter,
     _pairs,
@@ -279,7 +280,8 @@ class TestLevelFilter:
             # reversed: ties of equal sum reach the masks in descending order
             kept = _level_filter(sigs[::-1], lambda: calls.append(None))
             assert kept == _dominated_filter(sigs) == TestDominatedFilter.maximal(sigs), sigs
-            assert len(calls) == len(sigs)
+            columns = sum(len(set(lane)) > 1 for lane in zip(*sigs))
+            assert len(calls) == len(sigs) + columns
         one = canonicalize([3, 5])
         assert _dominators([]) == ([], [])
         assert _dominators([one]) == ([one], [0])
@@ -298,10 +300,25 @@ class TestLevelFilter:
 class TestFusedLevels:
     """Levels of ``_FUSED_MIN_PARENTS`` parents on take their per-parent
     domination from the level-wide masks: every output must be the one of
-    per-parent scans followed by a level-wide scan."""
+    per-parent scans followed by a level-wide scan, and so must every pruned
+    level's step, the counts of each domination included."""
 
     @staticmethod
-    def outputs(k, depths, config):
+    def steps(k, levels):
+        """``_expand_level`` from every level that has a next one, pruned: the
+        kept children, their derivations and the four counts.  (The fused
+        step's map holds every child, the scan's only each parent's kept
+        ones; a kept child has the same first derivation in both.)"""
+        steps = []
+        for level in levels[:-1]:
+            parents = [(a, level.record_of[a].l_value if level.record_of else math.inf)
+                       for a in level.sorted_signatures()]
+            kept, merged, counts = _expand_level(k, level.z - 1, parents, True, None)
+            steps.append((kept, {c: merged[c] for c in kept}, counts))
+        return steps
+
+    @classmethod
+    def outputs(cls, k, depths, config):
         try:
             levels = trace_levels(k, depths, config)
             decision = decide(k, depths, config)
@@ -310,7 +327,8 @@ class TestFusedLevels:
         stats = dict(vars(decision.stats))
         del stats["wall_time_s"]
         flat = [(lv.z, lv.signatures, list(lv.record_of.items())) for lv in levels]
-        return flat, decision.realizable, decision.witness_chain, stats
+        steps = cls.steps(k, levels) if config.prune_level_domination else None
+        return flat, decision.realizable, decision.witness_chain, stats, steps
 
     def test_masks_at_every_width_match_scans(self, monkeypatch):
         rng = random.Random(41)
@@ -397,18 +415,18 @@ class TestUnitEdgeLevels:
         for values in cases:
             a = canonicalize(values)
             for parent_l in (math.inf, a[-1] - 1):
-                expected_stats, stats = SolverStats(), SolverStats()
-                expected = _expand(2, a, _pairs(2, a), parent_l, expected_stats)
-                record_of = {}
-                if parent_l != math.inf:
-                    record_of[a] = MergeRecord(a, 0, 0, parent_l, 0, a, parent_l)
-                level = LevelSet(len(a), frozenset({a}), record_of)
-                size, kept, merged = _unit_edge_level(level, stats, None)
-                assert size == len(kept) == len(expected), values
+                pairs = _pairs(2, a)
+                expected, negatives, dominated = _expand(2, a, pairs, parent_l)
+                step = _unit_edge_level([(a, parent_l)], None)
+                kept, merged, counts = step
+                assert len(kept) + counts[3] == len(kept) == len(expected), values
                 assert {c: merged[c] for c in kept} == {
                     c: (a, parent_l, provenance) for c, provenance in expected.items()
                 }, (values, parent_l)
-                assert stats == expected_stats, (values, parent_l)
+                assert counts == (len(pairs), negatives, dominated, 0), (values, parent_l)
+                for prune in (True, False):
+                    general = _expand_level(2, len(a) - 1, [(a, parent_l)], prune, None)
+                    assert step == general, (values, parent_l, prune)
 
 
 class TestPruneLevel:
