@@ -30,7 +30,7 @@ EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_recor
 RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
-LEVEL_TEST = SOLVER + "TestLevelFilter::test_matches_scan_and_brute_force"
+LEVEL_TEST = SOLVER + "TestDominators::test_matches_scan_and_brute_force"
 PINNED_TEST = "tests/test_cli.py::test_pinned_stdout"
 TYPE_TEST = SOLVER + "TestSignatureType::"
 
@@ -82,10 +82,12 @@ MUTANTS = [
     ("masks-rank-past-255", "solver.py", "len(values) > 256", "len(values) > 257",
      [LEVEL_TEST]),
     ("masks-loop-bit-shifted", "solver.py", "ge[v] |= 1 << b", "ge[v] |= 2 << b", [LEVEL_TEST]),
-    ("fused-kept-unsorted", "solver.py", "kept = _scan_order(c for c, up in zip(order, above)",
-     "kept = list(c for c, up in zip(order, above)", [FUSED_TEST]),
-    ("level-kept-unsorted", "solver.py", "return _scan_order(c for c, up in zip(order, above)",
-     "return list(c for c, up in zip(order, above)", [LEVEL_TEST]),
+    ("fused-kept-unsorted", "solver.py", "kept = sorted(c for c, up in zip(order, above)",
+     "kept = list(c for c, up in zip(order, above)",
+     [FUSED_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
+    # the scan as the level-wide pass of a level too narrow to fuse
+    ("narrow-level-unfiltered", "solver.py", "_dominated_filter(merged, check_time) if prune",
+     "list(merged) if prune", [FUSED_TEST]),
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),

@@ -8,7 +8,9 @@ realizable iff a non-negative singleton survives down at length 1.  One level
 is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
-a parent, dominated level-wide)``, which ``_run_levels`` alone sums.
+a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Where a
+pass sees a whole level's union of children it reads ``_dominators``' masks;
+every other pass runs ``_dominated_filter``'s scan.
 """
 
 from __future__ import annotations
@@ -197,17 +199,6 @@ def _dominated_filter(
     return kept
 
 
-_LEVEL_BITSET_MIN = 128
-
-
-def _scan_order(sigs: Iterable[Signature]) -> list[Signature]:
-    """``sigs`` in ``_dominated_filter``'s order: by descending sum, ties
-    ascending."""
-    order = sorted(sigs)
-    order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
-    return order
-
-
 def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
     """``{v: mask}`` for one lane of ``_dominators``' order, ``values`` its
     distinct values ascending: bit ``b`` of ``v``'s mask is set iff
@@ -233,9 +224,9 @@ def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
 def _dominators(
     sigs: Collection[Signature], check_time: Callable[[], None] | None = None
 ) -> tuple[list[Signature], list[int]]:
-    """``(order, above)`` for distinct signatures of one length: ``order``
-    holds them by descending sum, ties in input order (not the scan's
-    order: callers re-sort what they keep with ``_scan_order``), and bit
+    """``(order, above)`` for distinct signatures of one length, for calls
+    that see a whole level's union of children (the scan serves all others):
+    ``order`` holds them by descending sum, ties in input order, and bit
     ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
     One ``check_time`` call per mask column, then one per signature.
 
@@ -266,19 +257,11 @@ def _dominators(
     return order, above
 
 
-def _level_filter(
-    sigs: Collection[Signature], check_time: Callable[[], None] | None = None
-) -> list[Signature]:
-    """``_dominated_filter`` for whole levels, by the ``_dominators`` masks
-    from ``_LEVEL_BITSET_MIN`` signatures on (below that the scan is faster):
-    still ``_dominated_filter``'s kept list in the same order, as a dominated
-    candidate has a kept dominator and the kept ones are put in the scan's
-    order.  One ``check_time`` call per candidate and per mask column.
-    """
-    if len(sigs) < _LEVEL_BITSET_MIN:
-        return _dominated_filter(sigs, check_time)
-    order, above = _dominators(sigs, check_time)
-    return _scan_order(c for c, up in zip(order, above) if not up)
+def _undominated(order: list[Signature], above: list[int]) -> list[Signature]:
+    """The undominated signatures of ``_dominators``' ``(order, above)``: the
+    kept list of ``_dominated_filter``, by descending sum, ties ascending."""
+    kept = sorted(c for c, up in zip(order, above) if not up)
+    return sorted(kept, key=sum, reverse=True)  # stable: ties stay ascending
 
 
 # (merged_lo, merged_hi, omega, cap) of one reduction step, as in MergeRecord
@@ -436,8 +419,9 @@ def generate_children_fast(
 
 
 def prune_level(level: LevelSet) -> LevelSet:
-    """Drop signatures dominated by another signature in the same level."""
-    kept = _level_filter(level.signatures)
+    """Drop signatures dominated by another signature in the same level, by
+    the ``_dominators`` masks at every size: a level is a whole union."""
+    kept = _undominated(*_dominators(level.signatures))
     record_of = {s: level.record_of[s] for s in kept if s in level.record_of}
     return LevelSet(level.z, frozenset(kept), record_of)
 
@@ -468,11 +452,11 @@ def _expand_level(
     """``_run_levels``' step to length ``z``: every parent's children, then,
     if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
     parents on, a pruned level reads both off one ``_dominators`` pass over
-    all children.  A child is dominated within its parent iff a sibling
-    dominates it.  What a parent drops has a dominator that it keeps, so all
-    children and the kept ones have the same survivors; a survivor is kept by
-    every parent generating it, so its first derivation is the one of the
-    per-parent scans.
+    the union of all children; narrower levels scan.  A child is dominated
+    within its parent iff a sibling dominates it.  What a parent drops has a
+    dominator that it keeps, so all children and the kept ones have the same
+    survivors; a survivor is kept by every parent generating it, so its first
+    derivation is the one of the per-parent scans.
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     merged = {}  # child -> (parent, parent_l, provenance) of its first derivation
@@ -493,7 +477,7 @@ def _expand_level(
         if fused:
             groups.append([same.setdefault(c, c) for c in children])
     if not fused:
-        kept = _level_filter(merged, check_time) if prune else list(merged)
+        kept = _dominated_filter(merged, check_time) if prune else list(merged)
         return kept, merged, (pairs, negatives, dominated, len(merged) - len(kept))
     order, above = _dominators(merged, check_time)
     index = dict(zip(order, count()))
@@ -507,7 +491,7 @@ def _expand_level(
         assert len(kept_bits) <= k * z
         dominated += len(at) - len(kept_bits)
         some_kept.update(kept_bits)
-    kept = _scan_order(c for c, up in zip(order, above) if not up)
+    kept = _undominated(order, above)
     return kept, merged, (pairs, negatives, dominated, len(some_kept) - len(kept))
 
 

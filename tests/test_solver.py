@@ -22,13 +22,14 @@ from splittree.solver import (
     MergeRecord,
     SolverConfig,
     SolverStats,
+    _FUSED_MIN_PARENTS,
     _dominated_filter,
     _dominators,
     _expand,
     _expand_level,
     _generate,
-    _level_filter,
     _pairs,
+    _undominated,
     _unit_edge_level,
     decide,
     generate_children_fast,
@@ -246,7 +247,7 @@ class TestDominatedFilter:
             assert len(calls) == len(sigs)
 
 
-class TestLevelFilter:
+class TestDominators:
     @staticmethod
     def constant_lane_sets():
         # the lowest `low` and the highest `high` lanes hold one value throughout
@@ -271,14 +272,13 @@ class TestLevelFilter:
                                             base + 4 * distinct + rng.randrange(3)])
                               for i in range(distinct) for _ in range(2)})
 
-    def test_matches_scan_and_brute_force(self, monkeypatch):
-        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)  # masks at every size
+    def test_matches_scan_and_brute_force(self):
         sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets(),
                                TestDominatedFilter.word_limit_sets(), self.wide_lane_sets())
         for sigs in sets:
             calls = []
             # reversed: ties of equal sum reach the masks in descending order
-            kept = _level_filter(sigs[::-1], lambda: calls.append(None))
+            kept = _undominated(*_dominators(sigs[::-1], lambda: calls.append(None)))
             assert kept == _dominated_filter(sigs) == TestDominatedFilter.maximal(sigs), sigs
             columns = sum(len(set(lane)) > 1 for lane in zip(*sigs))
             assert len(calls) == len(sigs) + columns
@@ -286,15 +286,18 @@ class TestLevelFilter:
         assert _dominators([]) == ([], [])
         assert _dominators([one]) == ([one], [0])
 
-    def test_matches_scan_on_unpruned_levels(self, monkeypatch):
-        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", 0)
+    def test_matches_scan_on_unpruned_levels(self):
+        # prune_level reads the masks at every size; its records keep the scan's order
         rng = random.Random(23)
         no_prune = SolverConfig(prune_level_domination=False)
         for _ in range(12):
             k, n = rng.randint(2, 10), rng.randint(2, 10)
             depths = [rng.randint(0, 2 + n * k // 3) for _ in range(n)]
             for level in trace_levels(k, depths, no_prune):
-                assert _level_filter(level.signatures) == _dominated_filter(level.signatures)
+                kept = _dominated_filter(level.signatures)
+                pruned = prune_level(level)
+                assert pruned.signatures == frozenset(kept)
+                assert list(pruned.record_of) == [s for s in kept if s in level.record_of]
 
 
 class TestFusedLevels:
@@ -330,23 +333,30 @@ class TestFusedLevels:
         steps = cls.steps(k, levels) if config.prune_level_domination else None
         return flat, decision.realizable, decision.witness_chain, stats, steps
 
-    def test_masks_at_every_width_match_scans(self, monkeypatch):
+    @staticmethod
+    def instances():
+        # level 6 of the first comes from 31 parents, one short of fusing, and
+        # holds 140 distinct children: the scan filters it at the default width
+        yield 10, [9, 8, 12, 10, 12, 10, 9, 13, 8], SolverConfig()
         rng = random.Random(41)
         for _ in range(100):
             k, n = rng.randint(2, 12), rng.randint(2, 14)
             lo = rng.randint(0, 2 * k)
             depths = [rng.randint(lo, lo + rng.choice([k // 2, k, 2 * k, n * k])) for _ in range(n)]
-            config = SolverConfig(
+            yield k, depths, SolverConfig(
                 prune_level_domination=n > 9 or rng.random() < 0.8,  # unpruned: never fused
                 max_level_size=rng.choice([None, None, rng.randint(0, 60)]),
                 max_seconds=rng.choice([None, None, 0.0, 1e9]),
             )
+
+    def test_masks_at_every_width_match_scans(self, monkeypatch):
+        for k, depths, config in self.instances():
             results = []
-            for width in (0, 10**9):  # masks everywhere, scans everywhere
+            # masks everywhere, scans everywhere, the default split
+            for width in (0, 10**9, _FUSED_MIN_PARENTS):
                 monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
-                monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
                 results.append(self.outputs(k, depths, config))
-            assert results[0] == results[1], (k, depths, config)
+            assert results[0] == results[1] == results[2], (k, depths, config)
 
 
 class TestSignatureType:
@@ -372,7 +382,6 @@ class TestSignatureType:
     @pytest.mark.parametrize("width", [0, 10**9])  # masks everywhere, scans everywhere
     def test_levels_and_witnesses(self, monkeypatch, width):
         monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
-        monkeypatch.setattr("splittree.solver._LEVEL_BITSET_MIN", width)
         realizable = 0
         for k, depths in self.instances():
             # unpruned, the 14 bounds at k = 10 take seconds
