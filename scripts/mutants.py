@@ -28,6 +28,8 @@ SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
 RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
+CODES_TEST = SOLVER + "TestDominatedFilter::test_matches_brute_force_maximal_set"
+HUGE_K_TEST = SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
 LEVEL_TEST = SOLVER + "TestDominators::test_matches_scan_and_brute_force"
@@ -49,20 +51,28 @@ MUTANTS = [
      [TREEBUILD + "test_json_matches_reference_on_caterpillars"]),
     ("writer-unchecked", "treebuild.py", "return int.__repr__(_integer(value, name))",
      "return json.dumps(value)", [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
-    # the inline reduction step in solver._expand
+    # the reduction step: solver._expand's merge value and cap, solver._child's slices
     ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),
     ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
     ("expand-tail-length", "solver.py", "(n - q - 1)", "(n - q)", [EXPAND_TEST]),
-    ("expand-singleton-cap", "solver.py", "                w = min(w, cap)\n", "",
-     [EXPAND_TEST]),
-    ("expand-sort-in-assert", "solver.py", "    kept.sort()\n", "    assert not kept.sort()\n",
+    ("expand-singleton-cap", "solver.py", "            w = min(w, cap)\n", "", [EXPAND_TEST]),
+    ("level-sort-in-assert", "solver.py", "    kept.sort(key=sum if prune",
+     "    assert not kept.sort(key=sum if prune",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
-    # the packed domination scan
-    ("packer-narrow-word", "solver.py", "if hi_bits < w[0]", "if hi_bits <= w[0]", [RANK_TEST]),
-    ("packer-low-guard", "solver.py", "1 << (size - 1)", "1 << (size - 2)", [RANK_TEST]),
+    # count codes: the child, the lanes and the dense/rank choice
+    ("codes-hi-as-lo", "solver.py", "code - units[lo] - units[hi]",
+     "code - units[lo] - units[lo]", [EXPAND_TEST]),
+    ("codes-no-cap-cut", "solver.py", "((code - units[lo] - units[hi]) & masks[min(cap, last)])",
+     "(code - units[lo] - units[hi])", [EXPAND_TEST]),
+    ("codes-guard-one-bit-down", "solver.py", "units[top] << bits - 1", "units[top] << bits - 2",
+     [CODES_TEST]),
+    ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
+     [CODES_TEST]),
+    # flipped, values past 2**63 ask for dense tables, which the test refuses to build
+    ("codes-dense-flipped", "solver.py", "if low < 0 or top * bits > 64 * n:",
+     "if not (low < 0 or top * bits > 64 * n):", [HUGE_K_TEST]),
     ("ranks-descending", "solver.py", "sorted(set(chain.from_iterable(order)))",
-     "sorted(set(chain.from_iterable(order)), reverse=True)",
-     [SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle", RANK_TEST]),
+     "sorted(set(chain.from_iterable(order)), reverse=True)", [HUGE_K_TEST, RANK_TEST]),
     # per-parent domination read off the level-wide masks
     ("fused-no-sibling-mask", "solver.py", "if not above[b] & mask]", "if not above[b]]",
      [FUSED_TEST]),
@@ -82,19 +92,18 @@ MUTANTS = [
     ("masks-rank-past-255", "solver.py", "len(values) > 256", "len(values) > 257",
      [LEVEL_TEST]),
     ("masks-loop-bit-shifted", "solver.py", "ge[v] |= 1 << b", "ge[v] |= 2 << b", [LEVEL_TEST]),
-    ("fused-kept-unsorted", "solver.py", "kept = sorted(c for c, up in zip(order, above)",
+    ("undominated-unsorted", "solver.py", "kept = sorted(c for c, up in zip(order, above)",
      "kept = list(c for c, up in zip(order, above)",
-     [FUSED_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
+     [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
     # the scan as the level-wide pass of a level too narrow to fuse
-    ("narrow-level-unfiltered", "solver.py", "_dominated_filter(merged, check_time) if prune",
-     "list(merged) if prune", [FUSED_TEST]),
+    ("narrow-level-unfiltered", "solver.py", "else _scan(merged, tables[3], check_time) if tables",
+     "else list(merged) if tables", [FUSED_TEST]),
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),
     # the counts each level step returns, and their sums
-    ("fused-drop-as-level-wide", "solver.py",
-     "(pairs, negatives, dominated, len(some_kept) - len(kept))",
-     "(pairs, negatives, 0, dominated + len(some_kept) - len(kept))", [FUSED_TEST]),
+    ("fused-drop-as-level-wide", "solver.py", "dropped_level = len(some_kept) - len(kept)",
+     "dropped_level, dominated = dominated + len(some_kept) - len(kept), 0", [FUSED_TEST]),
     ("levels-negatives-as-dominated", "solver.py",
      "dominated += dropped + dropped_level", "dominated += dropped + dropped_level + negative",
      [PINNED_TEST]),

@@ -8,20 +8,21 @@ realizable iff a non-negative singleton survives down at length 1.  One level
 is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
-a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Where a
-pass sees a whole level's union of children it reads ``_dominators``' masks;
-every other pass runs ``_dominated_filter``'s scan.
+a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it a
+child is its count code (lane ``t``: how many values are ``>= t``), built as a
+tuple only if kept; values with a negative one or ``M * bits > 64 * n`` stay
+tuples, coded by rank (``_code_tables``).  A pass over a whole level's union
+of children reads ``_dominators``' masks; every other pass scans codes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, count, repeat, starmap
-from operator import itemgetter, or_
+from itertools import accumulate, chain, count
+from operator import or_
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -135,68 +136,78 @@ class SolverConfig:
         self.max_seconds = max_seconds
 
 
-# a sorted signature: a LeafSignature, or a child of ``_expand`` not yet recorded
+# a sorted signature: a LeafSignature, or a child built by ``_child``, not yet recorded
 Signature = tuple[int, ...]
 
 
-@lru_cache(maxsize=1024)
-def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
-    """``(pack, guard)`` for signatures of ``lanes`` values in
-    ``[0, 2**hi_bits)``: ``pack`` writes each value into a little-endian word
-    of the narrowest size whose top bit lies above them, ``guard`` is the
-    packed integer holding just the top bit of every word."""
-    size, code = next(w for w in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if hi_bits < w[0])
-    pack = struct.Struct(f"<{lanes}{code}").pack
-    return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
+def _lane_bits(n: int) -> int:
+    """Count-code lanes for ``n`` values, a guard bit above every count."""
+    return 8 * (n.bit_length() // 8 + 1)
+
+
+@lru_cache(maxsize=8)
+def _count_tables(lanes: int, bits: int) -> tuple[list[int], list[int]]:
+    units = list(accumulate((1 << bits * t for t in range(lanes)), or_, initial=0))
+    return units, [(1 << bits * c) - 1 for c in range(lanes + 1)]
+
+
+def _code_tables(n: int, low: int, top: int) -> tuple[int, list[int], list[int], int] | None:
+    """``(bits, units, masks, guard)`` of dense count codes of ``n`` values in
+    ``[low, top]``: ``units[v]`` is 1 in lanes ``1..v``, ``masks[c]`` all of
+    lanes ``1..c``, ``guard`` the top bits of lanes ``1..top``.  None for a
+    negative value or ``top * bits > 64 * n`` (codes over ``n`` words)."""
+    bits = _lane_bits(n)
+    if low < 0 or top * bits > 64 * n:
+        return None
+    units, masks = _count_tables(1 << top.bit_length(), bits)
+    return bits, units, masks, units[top] << bits - 1
+
+
+def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
+    """Undominated count codes, descending (``_dominated_filter``'s test), one check each."""
+    kept: list[int] = []
+    fronts = []  # kept codes | guard
+    for code in sorted(codes, reverse=True):
+        if check_time is not None:
+            check_time()
+        for front in fronts:
+            if (front - code) & guard == guard:
+                break
+        else:
+            kept.append(code)
+            fronts.append(code | guard)
+    return kept
 
 
 def _dominated_filter(
     sigs: Iterable[Signature], check_time: Callable[[], None] | None = None
 ) -> list[Signature]:
-    """Signatures of one length not dominated by another one in the collection.
+    """Signatures of one length not dominated by another one in the
+    collection, by descending sum, ties ascending; ``check_time``, if given,
+    runs before each candidate is scanned.
 
-    A dominator always has a strictly larger element sum (the input holds
-    distinct signatures), so scanning in descending sum order lets every
-    candidate be checked against the kept front only.  ``check_time``, if
-    given, runs before each candidate is scanned.
-
-    Each signature is packed into one integer of equal-width lanes whose top
-    bit is a guard that no lane value reaches: lane by lane,
-    ``(packed(o) | guard) - packed(c)`` keeps its guard bit iff ``c <= o``
-    there, and no lane borrows from the next, so ``c`` is dominated by ``o``
-    iff the difference still holds every guard bit.  The lanes are the 8-,
-    16-, 32- or 64-bit machine words of the narrowest size whose top bit lies
-    above the largest value, built in one ``struct`` call per signature.  A
-    collection holding a value outside ``[0, 2**63)`` is packed by rank among
-    its distinct values instead, which keeps every lane comparison.  Sets of
-    0 or 1 signatures are returned unpacked.
+    A sorted signature is fixed by how many of its values reach each
+    threshold ``t``; its count code holds that count in lane ``t``, whose top
+    bit, the guard, no count reaches.  ``o`` dominates ``c`` iff it holds at
+    least as many values at every threshold, iff ``(code(o) | guard) -
+    code(c)`` keeps every guard bit (no lane borrows).  A dominator's code is
+    thus larger: the scan runs down the codes against the kept ones.  Here
+    the thresholds are the ranks of the values (``_expand`` codes children by
+    value).  Sets of 0 or 1 signatures are returned uncoded.
     """
     order = sorted(sigs)
     if len(order) < 2:
         if order and check_time is not None:
             check_time()
         return order
-    order.sort(key=sum, reverse=True)  # stable: ties stay in ascending order
-    lanes = order
-    hi = max(map(itemgetter(-1), order))
-    if min(map(itemgetter(0), order)) < 0 or hi >= 1 << 63:
-        rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
-        lanes = [tuple(map(rank.__getitem__, c)) for c in order]
-        hi = len(rank) - 1
-    pack, guard = _word_packer(len(order[0]), hi.bit_length())
-    packs = map(int.from_bytes, starmap(pack, lanes), repeat("little"))
-    kept: list[Signature] = []
-    fronts: list[int] = []
-    for c, packed in zip(order, packs):
-        if check_time is not None:
-            check_time()
-        for front in fronts:
-            if (front - packed) & guard == guard:
-                break
-        else:
-            kept.append(c)
-            fronts.append(packed | guard)
-    return kept
+    rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
+    bits = _lane_bits(len(order[0]))
+    ones = (1 << bits) - 1  # units[v] = (2**(bits*v) - 1) // ones: no table is built
+    codes = [(sum(1 << bits * rank[v] for v in s) - len(s)) // ones for s in order]
+    guard = ((1 << bits * (len(rank) - 1)) - 1) // ones << bits - 1
+    sig_of = dict(zip(codes, order))
+    kept = sorted(map(sig_of.__getitem__, _scan(codes, guard, check_time)))
+    return sorted(kept, key=sum, reverse=True)  # stable: ties stay in ascending order
 
 
 def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
@@ -264,10 +275,6 @@ def _undominated(order: list[Signature], above: list[int]) -> list[Signature]:
     return sorted(kept, key=sum, reverse=True)  # stable: ties stay ascending
 
 
-# (merged_lo, merged_hi, omega, cap) of one reduction step, as in MergeRecord
-Provenance = tuple[int, int, int, int]
-
-
 def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
     """The representative pairs of ``generate_children_fast``, by i then j."""
     n = len(a)
@@ -287,71 +294,87 @@ def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
     return pairs
 
 
-def _expand(
-    k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float, scan: bool = True
-) -> tuple[dict[Signature, Provenance], int, int]:
-    """``(children, negatives, dominated)``: the undominated non-negative
-    children of ``a`` over ``pairs`` in sorted order, each with the
-    ``(merged_lo, merged_hi, omega, cap)`` of its first pair; the pairs that
-    give a negative child; the distinct children a sibling dominates.
-    Without ``scan``, every distinct non-negative child in the order of first
-    generation and 0 dominated: the caller tests domination itself.  Children
-    are plain tuples; ``_record`` makes the recorded ones ``LeafSignature``s.
-
-    Pairs of equal values give equal children, so each distinct value pair
-    is reduced once; the repeats of a negative one still count as negatives.
-
-    Each child is ``signature._reduce(k, a, i, j)`` built from slices of the
-    sorted parent, which needs ``i < j`` (every pair of ``_pairs`` and of
-    ``generate_children_naive`` has it).  For merge value ``w`` and, from
-    length 3 on, ``cap = w + k - 1``:
+def _child(a: LeafSignature, lo: int, hi: int, w: int, cap: int) -> Signature:
+    """The child of provenance ``(lo, hi, w, cap)``, ``signature._reduce`` from
+    slices of ``a``.  For ``lo <= hi`` at ``i < j``, ``cap = w + k - 1``:
     - ``w <= a[i] - 1``, so ``w`` goes in before position ``i``, at
       ``p = bisect_right(a, w, 0, i)``;
     - ``a[i] <= w + ceil(k/2) <= cap``, so the values cut to ``cap`` start
       after ``i``, at ``q = bisect_right(a, cap, i)``;
     - with ``i < j``, ``a[j]`` leaves the kept middle if ``q > j`` and the
       cut tail, one ``cap`` shorter, otherwise.
-    A length-2 parent gives the singleton ``min(w, cap)`` with
-    ``cap = min(w + k - 1, 0)``.
+    A length-2 parent gives ``(w,)``, ``w`` cut to ``cap = min(w + k - 1, 0)``.
+    """
+    n = len(a)
+    if n == 2:
+        return (w,)
+    i = bisect_left(a, lo)
+    j = bisect_left(a, hi, i + 1)
+    p = bisect_right(a, w, 0, i)
+    q = bisect_right(a, cap, i)
+    if q > j:
+        return a[:p] + (w,) + a[p:i] + a[i + 1 : j] + a[j + 1 : q] + (cap,) * (n - q)
+    return a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
+
+
+def _expand(
+    k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float,
+    tables: tuple | None, scan: bool = True,
+) -> tuple[dict, int, int]:
+    """``(children, negatives, dominated)``: the undominated non-negative
+    children of ``a`` over ``pairs``, each with the ``(merged_lo, merged_hi,
+    omega, cap)`` of its first pair, for ``_child``; the pairs that give a
+    negative child; the distinct children a sibling dominates.  Without
+    ``scan``, every distinct non-negative child, in the order of first
+    generation, and 0 dominated: the caller tests domination itself.
+
+    With the ``tables`` of ``_code_tables`` for ``a``, a child is its count
+    code, ``((code(a) - units[lo] - units[hi]) & masks[cap]) + units[w]``
+    for values ``lo <= hi`` (no child value exceeds ``a[-1]``, so lanes past
+    the tables' last are empty), negative iff ``w`` is, and ``_scan`` filters
+    them.  Without, the children are ``_child``'s tuples.
+
+    Pairs of equal values give equal children, so each distinct value pair
+    is reduced once; the repeats of a negative one still count as negatives.
     """
     n = len(a)
     top = parent_l + k - 1
-    cands: dict[Signature, Provenance] = {}
+    cands: dict = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
+    if tables is not None:
+        bits, units, masks, guard = tables
+        code, last = sum(map(units.__getitem__, a)), len(masks) - 1
+        assert a[-1] <= top  # with max(child) <= cap: max(child) <= min(parent_l, w) + k - 1
     for i, j in pairs:
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
         if negative is None:
             w = lo - max(1, (k - hi + lo + 1) // 2)  # signature.omega(k, lo, hi), as lo <= hi
-            if n == 2:
-                cap = min(w + k - 1, 0)
-                w = min(w, cap)
-                child = (w,)
+            cap = w + k - 1 if n > 2 else min(w + k - 1, 0)
+            w = min(w, cap)
+            if tables is None:
+                child = _child(a, lo, hi, w, cap)
+                negative = child[0] < 0
+                assert child[-1] <= cap and child[-1] <= top
             else:
-                cap = w + k - 1
-                p = bisect_right(a, w, 0, i)
-                q = bisect_right(a, cap, i)
-                if q > j:
-                    child = a[:p] + (w,) + a[p:i] + a[i + 1 : j] + a[j + 1 : q] + (cap,) * (n - q)
-                else:
-                    child = a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
-            # max(child) <= min(parent_l, w) + k - 1, as cap <= w + k - 1
-            assert child[-1] <= cap and child[-1] <= top
-            negative = negative_of[lo, hi] = child[0] < 0
+                negative = w < 0
+                if not negative:
+                    child = ((code - units[lo] - units[hi]) & masks[min(cap, last)]) + units[w]
+                    assert child.bit_length() <= bits * cap
+            negative_of[lo, hi] = negative
             if not negative and child not in cands:
                 cands[child] = (lo, hi, w, cap)
         negatives += negative
     if not scan:
         return cands, negatives, 0
-    kept = _dominated_filter(cands)
+    kept = _dominated_filter(cands) if tables is None else _scan(cands, guard)
     assert len(kept) <= k * (len(a) - 1)
-    kept.sort()
     return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
 
 def _record(
-    child: Signature, a: LeafSignature, parent_l: float, provenance: Provenance
+    child: Signature, a: LeafSignature, parent_l: float, provenance: tuple[int, int, int, int]
 ) -> MergeRecord:
     lo, hi, inserted, cap = provenance
     child = tuple.__new__(LeafSignature, child)
@@ -365,12 +388,14 @@ def _generate(
     parent_l: float,
     stats: SolverStats | None,
 ) -> list[MergeRecord]:
-    children, negatives, dominated = _expand(k, a, pairs, parent_l)
+    tables = _code_tables(len(a), a[0], a[-1])
+    children, negatives, dominated = _expand(k, a, pairs, parent_l, tables)
     if stats is not None:
         stats.signatures_generated += len(pairs)
         stats.pruned_negative += negatives
         stats.pruned_dominated += dominated
-    return [_record(c, a, parent_l, p) for c, p in children.items()]
+    kept = sorted((_child(a, *p), p) for p in children.values())
+    return [_record(c, a, parent_l, p) for c, p in kept]
 
 
 def generate_children_naive(
@@ -441,8 +466,8 @@ def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
 
 
 # levels of this many parents on take their per-parent domination from the
-# level-wide masks; narrower ones (all of long signatures) scan faster
-_FUSED_MIN_PARENTS = 32
+# level-wide masks; narrower ones (all of long signatures) scan the codes faster
+_FUSED_MIN_PARENTS = 64
 
 
 def _expand_level(
@@ -450,24 +475,27 @@ def _expand_level(
     check_time: Callable[[], None] | None,
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
     """``_run_levels``' step to length ``z``: every parent's children, then,
-    if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
-    parents on, a pruned level reads both off one ``_dominators`` pass over
-    the union of all children; narrower levels scan.  A child is dominated
+    if ``prune``, the level-wide domination, on ``_expand``'s children: count
+    codes, or tuples where ``_code_tables`` cannot hold the values.  From
+    ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both off one
+    ``_dominators`` pass over the union of all children (lanes: 8-bit code
+    lanes, else the tuples); narrower levels scan.  A child is dominated
     within its parent iff a sibling dominates it.  What a parent drops has a
     dominator that it keeps, so all children and the kept ones have the same
     survivors; a survivor is kept by every parent generating it, so its first
-    derivation is the one of the per-parent scans.
+    derivation is the one of the per-parent scans.  Only the kept children
+    are built, by ``_child``, and put in ``_dominated_filter``'s order.
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
-    merged = {}  # child -> (parent, parent_l, provenance) of its first derivation
-    same: dict[Signature, Signature] = {}  # groups share one tuple per child
+    tables = _code_tables(z + 1, 0, max(a[-1] for a, _ in parents))
+    merged = {}  # child code (or tuple) -> (parent, parent_l, provenance) of first derivation
     groups = []  # every parent's children, when fused
     pairs = negatives = dominated = 0
     for a, parent_l in parents:
         if check_time is not None:
             check_time()
         ij = _pairs(k, a)
-        children, negative, dropped = _expand(k, a, ij, parent_l, not fused)
+        children, negative, dropped = _expand(k, a, ij, parent_l, tables, not fused)
         pairs += len(ij)
         negatives += negative
         dominated += dropped
@@ -475,31 +503,43 @@ def _expand_level(
             if child not in merged:
                 merged[child] = (a, parent_l, provenance)
         if fused:
-            groups.append([same.setdefault(c, c) for c in children])
+            groups.append(list(children))
     if not fused:
-        kept = _dominated_filter(merged, check_time) if prune else list(merged)
-        return kept, merged, (pairs, negatives, dominated, len(merged) - len(kept))
-    order, above = _dominators(merged, check_time)
-    index = dict(zip(order, count()))
-    some_kept: set[int] = set()  # bits of children a parent keeps
-    for group in groups:
-        if check_time is not None:
-            check_time()
-        at = list(map(index.__getitem__, group))
-        mask = sum(map((1).__lshift__, at))
-        kept_bits = [b for b in at if not above[b] & mask]
-        assert len(kept_bits) <= k * z
-        dominated += len(at) - len(kept_bits)
-        some_kept.update(kept_bits)
-    kept = _undominated(order, above)
-    return kept, merged, (pairs, negatives, dominated, len(some_kept) - len(kept))
+        kept = (list(merged) if not prune
+                else _scan(merged, tables[3], check_time) if tables
+                else _dominated_filter(merged, check_time))
+        dropped_level = len(merged) - len(kept)
+    else:
+        lanes = ([c.to_bytes(tables[3].bit_length() // 8, "little") for c in merged]
+                 if tables and tables[0] == 8 else [_child(a, *p) for a, _, p in merged.values()])
+        order, above = _dominators(lanes, check_time)
+        index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
+        some_kept: set[int] = set()  # bits of children a parent keeps
+        for group in groups:
+            if check_time is not None:
+                check_time()
+            at = list(map(index.__getitem__, group))
+            mask = sum(map((1).__lshift__, at))
+            kept_bits = [b for b in at if not above[b] & mask]
+            assert len(kept_bits) <= k * z
+            dominated += len(at) - len(kept_bits)
+            some_kept.update(kept_bits)
+        kept = [c for c, b in index.items() if not above[b]]
+        dropped_level = len(some_kept) - len(kept)
+    built = {}
+    for c in kept:
+        a, _, provenance = derivation = merged[c]
+        built[_child(a, *provenance)] = derivation
+    kept = sorted(built)  # unpruned: by (sorted) parent, then ascending
+    kept.sort(key=sum if prune else lambda c: built[c][0], reverse=prune)
+    return kept, built, (pairs, negatives, dominated, dropped_level)
 
 
 def _unit_edge_level(
     parents: list[tuple[LeafSignature, float]], check_time: Callable[[], None] | None
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
     """``_expand_level`` for ``k = 2``: the one kept child and the counts of
-    ``_expand(2, a, _pairs(2, a), parent_l)`` on the level's one
+    ``_expand`` over ``_pairs(2, a)`` on the level's one
     non-negative signature ``a``, built without any sibling (Huffman's
     exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
     - the pair ``(i, i+1)`` with ``a[i] = v`` merges to ``w = v-1``, ``cap =

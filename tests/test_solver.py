@@ -23,12 +23,14 @@ from splittree.solver import (
     SolverConfig,
     SolverStats,
     _FUSED_MIN_PARENTS,
+    _code_tables,
+    _count_tables,
     _dominated_filter,
     _dominators,
-    _expand,
     _expand_level,
     _generate,
     _pairs,
+    _scan,
     _undominated,
     _unit_edge_level,
     decide,
@@ -155,6 +157,9 @@ class TestGenerators:
         for k in (2**64 + 2, 2**64 + 3):  # values from 2**63 up
             for n in (2, 3, 5, 9, 16):
                 cases.append((k, [rng.randint(2**63, 2**63 + 2 * k) for _ in range(n)]))
+        for _ in range(20):  # a negative value: every child is negative
+            k, n = rng.randint(2, 8), rng.randint(2, 12)
+            cases.append((k, [-rng.randint(1, k)] + [rng.randint(-k, 3 * k) for _ in range(n - 1)]))
         # length 2: negative singletons, and non-negative ones cut to 0
         cases += [(2, [0, 0]), (2, [0, 1]), (6, [1, 2]), (7, [3, 4]), (2, [5, 5]), (7, [3, 9])]
         for _ in range(30):  # wide spread: partners at a gap >= k - 1 lie above the cap
@@ -180,6 +185,12 @@ class TestGenerators:
             assert stats == expected_stats, (k, sig)
             assert _pairs(k, sig) == pairs, (k, sig)
             assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
+            if sig[0] < 0:  # no dense count codes: the tuple children, for every pair too
+                assert _code_tables(len(sig), sig[0], sig[-1]) is None
+                every = [(i, j) for i in range(len(sig) - 1) for j in range(i + 1, len(sig))]
+                naive_stats = SolverStats()
+                naive = generate_children_naive(k, sig, parent_l, naive_stats)
+                assert per_pair_generate(k, sig, every, parent_l) == (naive, naive_stats)
 
 
 class TestDominatedFilter:
@@ -207,6 +218,21 @@ class TestDominatedFilter:
                 cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
                 sigs.add(canonicalize(b - a for a, b in zip([0, *cuts], [*cuts, total])))
             yield sorted(sigs)
+        # for count codes: M = 0, all values equal, values at M, and 127 or
+        # 128 values, where the lanes widen from 8 to 16 bits; a signature
+        # from 1 up holds all of its values in lane 1
+        for n in (1, 2, 5):
+            yield [canonicalize([0] * n)]
+            yield [canonicalize([v] * n) for v in range(4)]
+        for n in (3, 64, 127, 128):
+            for top in (1, 2, 9):
+                for size in (2, 10, 40):
+                    sigs = set()
+                    for _ in range(size):
+                        low, at_top = rng.randint(0, 1), rng.randint(0, n - 1)
+                        sigs.add(canonicalize([top] * at_top + [rng.randint(low, top)
+                                                                for _ in range(n - at_top)]))
+                    yield sorted(sigs)
 
     def test_matches_brute_force_maximal_set(self):
         for sigs in self.seeded_sets():
@@ -214,6 +240,14 @@ class TestDominatedFilter:
             kept = _dominated_filter(sigs, lambda: calls.append(None))
             assert kept == self.maximal(sigs), sigs
             assert len(calls) == len(sigs)
+            # the level step's dense count codes, on the values themselves
+            tables = sigs and _code_tables(len(sigs[0]), sigs[0][0], max(s[-1] for s in sigs))
+            if tables:
+                _, units, _, guard = tables
+                sig_of = {sum(map(units.__getitem__, s)): s for s in sigs}
+                assert len(sig_of) == len(sigs), sigs
+                kept = map(sig_of.__getitem__, _scan(sig_of, guard))
+                assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
 
     @staticmethod
     def word_limit_sets():
@@ -335,8 +369,8 @@ class TestFusedLevels:
 
     @staticmethod
     def instances():
-        # level 6 of the first comes from 31 parents, one short of fusing, and
-        # holds 140 distinct children: the scan filters it at the default width
+        # level 6 of the first comes from 31 parents and holds 140 distinct
+        # children: the scan filters it at the default width
         yield 10, [9, 8, 12, 10, 12, 10, 9, 13, 8], SolverConfig()
         rng = random.Random(41)
         for _ in range(100):
@@ -425,14 +459,16 @@ class TestUnitEdgeLevels:
             a = canonicalize(values)
             for parent_l in (math.inf, a[-1] - 1):
                 pairs = _pairs(2, a)
-                expected, negatives, dominated = _expand(2, a, pairs, parent_l)
+                stats = SolverStats()
+                expected = _generate(2, a, pairs, parent_l, stats)
                 step = _unit_edge_level([(a, parent_l)], None)
                 kept, merged, counts = step
                 assert len(kept) + counts[3] == len(kept) == len(expected), values
                 assert {c: merged[c] for c in kept} == {
-                    c: (a, parent_l, provenance) for c, provenance in expected.items()
+                    rec.child: (a, parent_l, rec[1:5]) for rec in expected
                 }, (values, parent_l)
-                assert counts == (len(pairs), negatives, dominated, 0), (values, parent_l)
+                assert counts == (len(pairs), stats.pruned_negative, stats.pruned_dominated, 0), (
+                    values, parent_l)
                 for prune in (True, False):
                     general = _expand_level(2, len(a) - 1, [(a, parent_l)], prune, None)
                     assert step == general, (values, parent_l, prune)
@@ -559,8 +595,22 @@ class TestDecide:
         with pytest.raises(InputError):
             decide(0, [3])
 
-    def test_huge_k_matches_recursive_oracle(self):
-        # values past 2**63 send the domination scan to its rank lanes
+    def test_huge_k_matches_recursive_oracle(self, monkeypatch):
+        # values past 2**63 are too large for dense count codes: the level
+        # step keeps tuple children, which the scan codes by rank.  Dense
+        # tables for them would not fit in memory, so building one fails here
+        def count_tables(lanes, bits):
+            assert lanes <= 1 << 16, lanes
+            return _count_tables(lanes, bits)
+
+        scanned = []
+
+        def dominated_filter(sigs, check_time=None):
+            scanned.append(len(sigs))
+            return _dominated_filter(sigs, check_time)
+
+        monkeypatch.setattr("splittree.solver._count_tables", count_tables)
+        monkeypatch.setattr("splittree.solver._dominated_filter", dominated_filter)
         rng = random.Random(31)
         verdicts, crowded = set(), 0
         for _ in range(100):
@@ -574,7 +624,7 @@ class TestDecide:
                 sigs = sorted(level.signatures)
                 assert sorted(TestDominatedFilter.maximal(sigs)) == sigs, (k, depths)
                 crowded += sum(s[-1] >= 2**63 for s in sigs) >= 2
-        assert verdicts == {True, False} and crowded
+        assert verdicts == {True, False} and crowded and max(scanned) >= 2
 
     def test_witness_chain_links_up(self):
         decision = decide(REFERENCE_K, REFERENCE_DEPTHS)
@@ -880,6 +930,35 @@ class TestLimits:
             assert next(clock) == limit + 2, limit
         clock = itertools.count()
         assert decide(k, depths, SolverConfig(max_seconds=checks)) == full
+        # one check per parent, per candidate of a level-wide scan and, in a
+        # fused level, per mask column, per masked child and per parent group:
+        # between two checks lies at most one parent's, child's or column's work
+        counted = dict.fromkeys(("parents", "scanned", "columns", "masked", "groups"), 0)
+        level = []
+
+        def expand_level(k, z, parents, prune, check_time):
+            counted["parents"] += len(parents)
+            level[:] = [len(parents)]
+            return _expand_level(k, z, parents, prune, check_time)
+
+        def scan(codes, guard, check_time=None):
+            codes = list(codes)
+            counted["scanned"] += len(codes) if check_time else 0
+            return _scan(codes, guard, check_time)
+
+        def dominators(sigs, check_time=None):
+            counted["columns"] += sum(len(set(lane)) > 1 for lane in zip(*sigs))
+            counted["masked"] += len(sigs)
+            counted["groups"] += level[0]
+            return _dominators(sigs, check_time)
+
+        for name, wrapper in (("_expand_level", expand_level), ("_scan", scan),
+                              ("_dominators", dominators)):
+            monkeypatch.setattr(f"splittree.solver.{name}", wrapper)
+        clock = itertools.count()
+        assert decide(k, depths, SolverConfig(max_seconds=math.inf)) == full
+        assert next(clock) - 2 == checks == sum(counted.values()), counted
+        assert all(counted.values()), counted  # scanned and fused levels both
 
     def test_zero_level_size_is_a_limit(self):
         with pytest.raises(LimitError):
