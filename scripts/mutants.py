@@ -59,18 +59,23 @@ MUTANTS = [
     ("level-sort-in-assert", "solver.py", "    kept.sort(key=sum if prune",
      "    assert not kept.sort(key=sum if prune",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
-    # count codes: the child, the lanes and the dense/rank choice
+    # count codes: the child, the lanes and the dense/tuple choice
     ("codes-hi-as-lo", "solver.py", "code - units[lo] - units[hi]",
      "code - units[lo] - units[lo]", [EXPAND_TEST]),
-    ("codes-no-cap-cut", "solver.py", "((code - units[lo] - units[hi]) & masks[min(cap, last)])",
+    ("codes-no-cap-cut", "solver.py", "((code - units[lo] - units[hi]) & cut)",
      "(code - units[lo] - units[hi])", [EXPAND_TEST]),
-    ("codes-guard-one-bit-down", "solver.py", "units[top] << bits - 1", "units[top] << bits - 2",
-     [CODES_TEST]),
+    ("codes-guard-one-bit-down", "solver.py", "self[top] << self.bits - 1",
+     "self[top] << self.bits - 2", [CODES_TEST]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
      [CODES_TEST]),
-    # flipped, values past 2**63 ask for dense tables, which the test refuses to build
-    ("codes-dense-flipped", "solver.py", "if low < 0 or top * bits > 64 * n:",
-     "if not (low < 0 or top * bits > 64 * n):", [HUGE_K_TEST]),
+    ("codes-runs-one-short", "solver.py", "for c in range(n, 0, -1)]",
+     "for c in range(n - 1, -1, -1)]", [CODES_TEST]),
+    # flipped, values past 2**63 ask for count codes, which the test refuses to build
+    ("codes-dense-flipped", "solver.py", "return 0 if low < 0 or top * bits > 64 * n else bits",
+     "return bits if low < 0 or top * bits > 64 * n else 0", [HUGE_K_TEST]),
+    # the positional packing of the tuple children
+    ("packer-narrow-word", "solver.py", "if hi_bits < w[0]", "if hi_bits <= w[0]", [RANK_TEST]),
+    ("packer-low-guard", "solver.py", "1 << (size - 1)", "1 << (size - 2)", [RANK_TEST]),
     ("ranks-descending", "solver.py", "sorted(set(chain.from_iterable(order)))",
      "sorted(set(chain.from_iterable(order)), reverse=True)", [HUGE_K_TEST, RANK_TEST]),
     # per-parent domination read off the level-wide masks
@@ -96,8 +101,8 @@ MUTANTS = [
      "kept = list(c for c, up in zip(order, above)",
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
     # the scan as the level-wide pass of a level too narrow to fuse
-    ("narrow-level-unfiltered", "solver.py", "else _scan(merged, tables[3], check_time) if tables",
-     "else list(merged) if tables", [FUSED_TEST]),
+    ("narrow-level-unfiltered", "solver.py", "else _scan(merged, units.guard(top), check_time))",
+     "else list(merged))", [FUSED_TEST]),
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),
@@ -108,7 +113,7 @@ MUTANTS = [
      "dominated += dropped + dropped_level", "dominated += dropped + dropped_level + negative",
      [PINNED_TEST]),
     # the closed-form k = 2 level
-    ("unit-edge-provenance-last", "solver.py", "(u, a[r + 1], w, cap)", "(u, a[n - 1], w, cap)",
+    ("unit-edge-provenance-last", "solver.py", "(r, r + 1, w, cap)", "(r, n - 1, w, cap)",
      [UNIT_EDGE_TEST]),
     ("unit-edge-zeros-everywhere", "solver.py", "bisect_right(a, 0, 0, n - 1)",
      "bisect_right(a, 0)", [UNIT_EDGE_TEST]),

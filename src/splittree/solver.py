@@ -9,20 +9,21 @@ is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
 a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it a
-child is its count code (lane ``t``: how many values are ``>= t``), built as a
-tuple only if kept; values with a negative one or ``M * bits > 64 * n`` stay
-tuples, coded by rank (``_code_tables``).  A pass over a whole level's union
-of children reads ``_dominators``' masks; every other pass scans codes.
+child is its count code (``_Units``), built as a tuple only if kept; where a
+value is negative or ``M * bits > 64 * n`` the children are tuples, packed by
+position.  A pass over a whole level's union of children reads
+``_dominators``' masks; every other pass is ``_scan``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, count
-from operator import or_
+from itertools import accumulate, chain, count, repeat, starmap
+from operator import itemgetter, mul, or_, sub
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -140,31 +141,50 @@ class SolverConfig:
 Signature = tuple[int, ...]
 
 
-def _lane_bits(n: int) -> int:
-    """Count-code lanes for ``n`` values, a guard bit above every count."""
-    return 8 * (n.bit_length() // 8 + 1)
+@lru_cache(maxsize=1024)
+def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
+    """``(pack, guard)`` for signatures of ``lanes`` values in
+    ``[0, 2**hi_bits)``: ``pack`` writes each value into a little-endian word
+    of the narrowest size whose top bit lies above them, ``guard`` is the
+    packed integer holding just the top bit of every word."""
+    size, code = next(w for w in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if hi_bits < w[0])
+    pack = struct.Struct(f"<{lanes}{code}").pack
+    return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
 
 
-@lru_cache(maxsize=8)
-def _count_tables(lanes: int, bits: int) -> tuple[list[int], list[int]]:
-    units = list(accumulate((1 << bits * t for t in range(lanes)), or_, initial=0))
-    return units, [(1 << bits * c) - 1 for c in range(lanes + 1)]
+def _lane_bits(n: int, low: int, top: int) -> int:
+    """``_Units``' lane width for ``n`` values in ``[low, top]``, or 0 for a
+    negative value or ``top * bits > 64 * n`` (a code over ``n`` words)."""
+    bits = 8 * (n.bit_length() // 8 + 1)
+    return 0 if low < 0 or top * bits > 64 * n else bits
 
 
-def _code_tables(n: int, low: int, top: int) -> tuple[int, list[int], list[int], int] | None:
-    """``(bits, units, masks, guard)`` of dense count codes of ``n`` values in
-    ``[low, top]``: ``units[v]`` is 1 in lanes ``1..v``, ``masks[c]`` all of
-    lanes ``1..c``, ``guard`` the top bits of lanes ``1..top``.  None for a
-    negative value or ``top * bits > 64 * n`` (codes over ``n`` words)."""
-    bits = _lane_bits(n)
-    if low < 0 or top * bits > 64 * n:
-        return None
-    units, masks = _count_tables(1 << top.bit_length(), bits)
-    return bits, units, masks, units[top] << bits - 1
+class _Units(dict):
+    """Count codes of sorted signatures of ``n`` values: lane ``t >= 1``,
+    ``bits`` wide from bit ``bits * (t - 1)``, holds how many values are
+    ``>= t``, below a guard bit.  ``units[v]``, 1 in lanes ``1..v``, is built
+    on first use, so only for values that occur."""
+
+    def __init__(self, n: int, bits: int) -> None:
+        self.bits, self.ones = bits, (1 << bits) - 1
+        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n, 0, -1)]
+
+    def __missing__(self, v: int) -> int:
+        unit = self[v] = ((1 << self.bits * v) - 1) // self.ones
+        return unit
+
+    def code(self, a: Signature) -> int:
+        """``a``'s code: ``len(a) - i`` in lanes ``a[i-1] < t <= a[i]``."""
+        return int.from_bytes(b"".join(map(mul, self.runs, map(sub, a, (0, *a)))), "little")
+
+    def guard(self, top: int) -> int:  # the top bit of each lane 1..top
+        return self[top] << self.bits - 1
 
 
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
-    """Undominated count codes, descending (``_dominated_filter``'s test), one check each."""
+    """Undominated codes, descending, one ``check_time`` each: ``o`` dominates
+    ``c`` iff ``(o | guard) - c`` keeps every guard bit (no lane borrows), so a
+    dominator's code is larger and is scanned first."""
     kept: list[int] = []
     fronts = []  # kept codes | guard
     for code in sorted(codes, reverse=True):
@@ -186,27 +206,26 @@ def _dominated_filter(
     collection, by descending sum, ties ascending; ``check_time``, if given,
     runs before each candidate is scanned.
 
-    A sorted signature is fixed by how many of its values reach each
-    threshold ``t``; its count code holds that count in lane ``t``, whose top
-    bit, the guard, no count reaches.  ``o`` dominates ``c`` iff it holds at
-    least as many values at every threshold, iff ``(code(o) | guard) -
-    code(c)`` keeps every guard bit (no lane borrows).  A dominator's code is
-    thus larger: the scan runs down the codes against the kept ones.  Here
-    the thresholds are the ranks of the values (``_expand`` codes children by
-    value).  Sets of 0 or 1 signatures are returned uncoded.
+    Tuples, as where count codes do not fit (``_lane_bits`` is 0), are
+    packed by position for ``_scan``: value ``i`` in lane ``i``, the 8-, 16-,
+    32- or 64-bit word of the narrowest size whose top bit, the guard, lies
+    above the largest value (one ``struct`` call); by rank among the distinct
+    values if one lies outside ``[0, 2**63)``.  Sets of 0 or 1 are not packed.
     """
     order = sorted(sigs)
     if len(order) < 2:
         if order and check_time is not None:
             check_time()
         return order
-    rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
-    bits = _lane_bits(len(order[0]))
-    ones = (1 << bits) - 1  # units[v] = (2**(bits*v) - 1) // ones: no table is built
-    codes = [(sum(1 << bits * rank[v] for v in s) - len(s)) // ones for s in order]
-    guard = ((1 << bits * (len(rank) - 1)) - 1) // ones << bits - 1
-    sig_of = dict(zip(codes, order))
-    kept = sorted(map(sig_of.__getitem__, _scan(codes, guard, check_time)))
+    lanes = order
+    hi = max(map(itemgetter(-1), order))
+    if order[0][0] < 0 or hi >= 1 << 63:
+        rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
+        lanes = [tuple(map(rank.__getitem__, c)) for c in order]
+        hi = len(rank) - 1
+    pack, guard = _word_packer(len(order[0]), hi.bit_length())
+    sig_of = dict(zip(map(int.from_bytes, starmap(pack, lanes), repeat("little")), order))
+    kept = sorted(map(sig_of.__getitem__, _scan(sig_of, guard, check_time)))
     return sorted(kept, key=sum, reverse=True)  # stable: ties stay in ascending order
 
 
@@ -294,9 +313,8 @@ def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
     return pairs
 
 
-def _child(a: LeafSignature, lo: int, hi: int, w: int, cap: int) -> Signature:
-    """The child of provenance ``(lo, hi, w, cap)``, ``signature._reduce`` from
-    slices of ``a``.  For ``lo <= hi`` at ``i < j``, ``cap = w + k - 1``:
+def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
+    """``signature._reduce`` from slices of ``a``, for ``cap = w + k - 1``:
     - ``w <= a[i] - 1``, so ``w`` goes in before position ``i``, at
       ``p = bisect_right(a, w, 0, i)``;
     - ``a[i] <= w + ceil(k/2) <= cap``, so the values cut to ``cap`` start
@@ -308,8 +326,6 @@ def _child(a: LeafSignature, lo: int, hi: int, w: int, cap: int) -> Signature:
     n = len(a)
     if n == 2:
         return (w,)
-    i = bisect_left(a, lo)
-    j = bisect_left(a, hi, i + 1)
     p = bisect_right(a, w, 0, i)
     q = bisect_right(a, cap, i)
     if q > j:
@@ -317,35 +333,28 @@ def _child(a: LeafSignature, lo: int, hi: int, w: int, cap: int) -> Signature:
     return a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
 
 
-def _expand(
-    k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float,
-    tables: tuple | None, scan: bool = True,
-) -> tuple[dict, int, int]:
+def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Units | None,
+            scan: bool = True) -> tuple[dict, int, int]:
     """``(children, negatives, dominated)``: the undominated non-negative
-    children of ``a`` over ``pairs``, each with the ``(merged_lo, merged_hi,
-    omega, cap)`` of its first pair, for ``_child``; the pairs that give a
-    negative child; the distinct children a sibling dominates.  Without
-    ``scan``, every distinct non-negative child, in the order of first
-    generation, and 0 dominated: the caller tests domination itself.
+    children of ``a`` over ``pairs``, each with the ``(i, j, omega, cap)`` of
+    its first pair, for ``_child``; the pairs that give a negative child; the
+    distinct children a sibling dominates.  Without ``scan``, every distinct
+    non-negative child, in the order of first generation, and 0 dominated.
 
-    With the ``tables`` of ``_code_tables`` for ``a``, a child is its count
-    code, ``((code(a) - units[lo] - units[hi]) & masks[cap]) + units[w]``
-    for values ``lo <= hi`` (no child value exceeds ``a[-1]``, so lanes past
-    the tables' last are empty), negative iff ``w`` is, and ``_scan`` filters
-    them.  Without, the children are ``_child``'s tuples.
+    With ``units``, a child is its count code, ``((code(a) - units[lo] -
+    units[hi]) & units[min(cap, a[-1])] * ones) + units[w]`` for values ``lo
+    <= hi`` (the mask cuts lanes past ``cap``), negative iff ``w`` is, and
+    ``_scan`` filters them.  Without, they are ``_child``'s tuples.
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
     """
     n = len(a)
-    top = parent_l + k - 1
     cands: dict = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
-    if tables is not None:
-        bits, units, masks, guard = tables
-        code, last = sum(map(units.__getitem__, a)), len(masks) - 1
-        assert a[-1] <= top  # with max(child) <= cap: max(child) <= min(parent_l, w) + k - 1
+    if units is not None:
+        code, ones = units.code(a), units.ones
     for i, j in pairs:
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
@@ -353,22 +362,22 @@ def _expand(
             w = lo - max(1, (k - hi + lo + 1) // 2)  # signature.omega(k, lo, hi), as lo <= hi
             cap = w + k - 1 if n > 2 else min(w + k - 1, 0)
             w = min(w, cap)
-            if tables is None:
-                child = _child(a, lo, hi, w, cap)
+            if units is None:
+                child = _child(a, i, j, w, cap)
                 negative = child[0] < 0
-                assert child[-1] <= cap and child[-1] <= top
             else:
                 negative = w < 0
                 if not negative:
-                    child = ((code - units[lo] - units[hi]) & masks[min(cap, last)]) + units[w]
-                    assert child.bit_length() <= bits * cap
+                    cut = units[min(cap, a[-1])] * ones
+                    child = ((code - units[lo] - units[hi]) & cut) + units[w]
+                    assert child.bit_length() <= units.bits * cap
             negative_of[lo, hi] = negative
             if not negative and child not in cands:
-                cands[child] = (lo, hi, w, cap)
+                cands[child] = (i, j, w, cap)
         negatives += negative
     if not scan:
         return cands, negatives, 0
-    kept = _dominated_filter(cands) if tables is None else _scan(cands, guard)
+    kept = _dominated_filter(cands) if units is None else _scan(cands, units.guard(a[-1]))
     assert len(kept) <= k * (len(a) - 1)
     return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
@@ -376,34 +385,26 @@ def _expand(
 def _record(
     child: Signature, a: LeafSignature, parent_l: float, provenance: tuple[int, int, int, int]
 ) -> MergeRecord:
-    lo, hi, inserted, cap = provenance
+    i, j, inserted, cap = provenance
     child = tuple.__new__(LeafSignature, child)
-    return MergeRecord(a, lo, hi, inserted, cap, child, min(parent_l, inserted))
+    return MergeRecord(a, a[i], a[j], inserted, cap, child, min(parent_l, inserted))
 
 
-def _generate(
-    k: int,
-    a: LeafSignature,
-    pairs: list[tuple[int, int]],
-    parent_l: float,
-    stats: SolverStats | None,
-) -> list[MergeRecord]:
-    tables = _code_tables(len(a), a[0], a[-1])
-    children, negatives, dominated = _expand(k, a, pairs, parent_l, tables)
+def _generate(k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float,
+              stats: SolverStats | None) -> list[MergeRecord]:
+    bits = _lane_bits(len(a), a[0], a[-1])
+    children, negatives, dominated = _expand(k, a, pairs, _Units(len(a), bits) if bits else None)
     if stats is not None:
         stats.signatures_generated += len(pairs)
         stats.pruned_negative += negatives
         stats.pruned_dominated += dominated
     kept = sorted((_child(a, *p), p) for p in children.values())
+    assert all(c[-1] <= parent_l + k - 1 for c, _ in kept)  # with <= cap: <= l_value + k - 1
     return [_record(c, a, parent_l, p) for c, p in kept]
 
 
-def generate_children_naive(
-    k: int,
-    a: LeafSignature,
-    parent_l: float = math.inf,
-    stats: SolverStats | None = None,
-) -> list[MergeRecord]:
+def generate_children_naive(k: int, a: LeafSignature, parent_l: float = math.inf,
+                            stats: SolverStats | None = None) -> list[MergeRecord]:
     """All merge candidates of ``a``: one per unordered position pair,
     with negative children dropped and dominated candidates removed.
     Returned sorted by child signature."""
@@ -416,12 +417,8 @@ def generate_children_naive(
     return _generate(k, a, pairs, parent_l, stats)
 
 
-def generate_children_fast(
-    k: int,
-    a: LeafSignature,
-    parent_l: float = math.inf,
-    stats: SolverStats | None = None,
-) -> list[MergeRecord]:
+def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
+                           stats: SolverStats | None = None) -> list[MergeRecord]:
     """Same result set as ``generate_children_naive`` without materializing
     every pair.
 
@@ -466,7 +463,7 @@ def _start_signature(k: int, sig: LeafSignature) -> LeafSignature:
 
 
 # levels of this many parents on take their per-parent domination from the
-# level-wide masks; narrower ones (all of long signatures) scan the codes faster
+# level-wide masks; narrower ones (all of long signatures) scan faster
 _FUSED_MIN_PARENTS = 64
 
 
@@ -474,20 +471,21 @@ def _expand_level(
     k: int, z: int, parents: list[tuple[LeafSignature, float]], prune: bool,
     check_time: Callable[[], None] | None,
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
-    """``_run_levels``' step to length ``z``: every parent's children, then,
-    if ``prune``, the level-wide domination, on ``_expand``'s children: count
-    codes, or tuples where ``_code_tables`` cannot hold the values.  From
-    ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both off one
-    ``_dominators`` pass over the union of all children (lanes: 8-bit code
-    lanes, else the tuples); narrower levels scan.  A child is dominated
-    within its parent iff a sibling dominates it.  What a parent drops has a
-    dominator that it keeps, so all children and the kept ones have the same
-    survivors; a survivor is kept by every parent generating it, so its first
-    derivation is the one of the per-parent scans.  Only the kept children
-    are built, by ``_child``, and put in ``_dominated_filter``'s order.
+    """``_run_levels``' step to length ``z``: every parent's children
+    (``_expand``'s count codes, or tuples where ``_lane_bits`` is 0), then,
+    if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
+    parents on, a pruned level reads both off one ``_dominators`` pass over
+    the union of all children as tuples; narrower levels scan.  A child is
+    dominated within its parent iff a sibling dominates it.  What a parent
+    drops has a dominator that it keeps, so all children and the kept ones
+    have the same survivors; a survivor is kept by every parent generating
+    it, so its first derivation is the one of the per-parent scans.  Coded
+    survivors are built by ``_child``; all go in ``_dominated_filter``'s order.
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
-    tables = _code_tables(z + 1, 0, max(a[-1] for a, _ in parents))
+    top = max(a[-1] for a, _ in parents)
+    bits = _lane_bits(z + 1, 0, top)
+    units = _Units(z + 1, bits) if bits else None
     merged = {}  # child code (or tuple) -> (parent, parent_l, provenance) of first derivation
     groups = []  # every parent's children, when fused
     pairs = negatives = dominated = 0
@@ -495,7 +493,7 @@ def _expand_level(
         if check_time is not None:
             check_time()
         ij = _pairs(k, a)
-        children, negative, dropped = _expand(k, a, ij, parent_l, tables, not fused)
+        children, negative, dropped = _expand(k, a, ij, units, not fused)
         pairs += len(ij)
         negatives += negative
         dominated += dropped
@@ -506,12 +504,11 @@ def _expand_level(
             groups.append(list(children))
     if not fused:
         kept = (list(merged) if not prune
-                else _scan(merged, tables[3], check_time) if tables
-                else _dominated_filter(merged, check_time))
+                else _dominated_filter(merged, check_time) if units is None
+                else _scan(merged, units.guard(top), check_time))
         dropped_level = len(merged) - len(kept)
     else:
-        lanes = ([c.to_bytes(tables[3].bit_length() // 8, "little") for c in merged]
-                 if tables and tables[0] == 8 else [_child(a, *p) for a, _, p in merged.values()])
+        lanes = list(merged) if units is None else [_child(a, *p) for a, _, p in merged.values()]
         order, above = _dominators(lanes, check_time)
         index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
         some_kept: set[int] = set()  # bits of children a parent keeps
@@ -528,8 +525,10 @@ def _expand_level(
         dropped_level = len(some_kept) - len(kept)
     built = {}
     for c in kept:
-        a, _, provenance = derivation = merged[c]
-        built[_child(a, *provenance)] = derivation
+        a, parent_l, provenance = derivation = merged[c]
+        child = c if units is None else _child(a, *provenance)
+        assert child[-1] <= parent_l + k - 1  # as in _generate
+        built[child] = derivation
     kept = sorted(built)  # unpruned: by (sorted) parent, then ascending
     kept.sort(key=sum if prune else lambda c: built[c][0], reverse=prune)
     return kept, built, (pairs, negatives, dominated, dropped_level)
@@ -565,7 +564,7 @@ def _unit_edge_level(
     w, cap = (u - 1, u) if n > 2 else (0, 0)
     child = a[:r] + (w,) + (u,) * (n - r - 2)
     assert child[-1] <= min(parent_l, w) + 1
-    merged = {child: (a, parent_l, (u, a[r + 1], w, cap))}
+    merged = {child: (a, parent_l, (r, r + 1, w, cap))}
     return [child], merged, (n - 1, zeros, len(set(a[zeros : n - 1])) - 1, 0)
 
 

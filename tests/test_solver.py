@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -23,16 +24,17 @@ from splittree.solver import (
     SolverConfig,
     SolverStats,
     _FUSED_MIN_PARENTS,
-    _code_tables,
-    _count_tables,
     _dominated_filter,
     _dominators,
     _expand_level,
     _generate,
+    _lane_bits,
     _pairs,
+    _record,
     _scan,
     _undominated,
     _unit_edge_level,
+    _Units,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -139,6 +141,24 @@ class TestGenerators:
         children = [r.child for r in recs]
         assert children == sorted(children)
         assert all(c[0] >= 0 for c in children)
+        # every pair gives a negative child, whatever parent_l
+        for generate in (generate_children_naive, generate_children_fast):
+            assert generate(3, canonicalize([0, 0, 10]), 0) == []
+
+    def test_count_codes_of_long_deep_signatures_stay_small(self):
+        # 3,000 bounds of 6,000 take 16-bit count codes of 6,000 lanes (12 kB
+        # each); lane units are built only for the values that occur, never
+        # as a table of every value up to 6,000, which grows with its square
+        sig = canonicalize([6000] * 3000)
+        assert _lane_bits(len(sig), sig[0], sig[-1]) == 16
+        tracemalloc.start()
+        try:
+            recs = generate_children_fast(3, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.child for r in recs] == [(5998,) + (6000,) * 2998]
+        assert peak < 2**22, peak
 
     def test_early_exit_keeps_counters_and_records(self):
         # reference scan: every partner j of i, one pair per (i, omega) class
@@ -186,7 +206,7 @@ class TestGenerators:
             assert _pairs(k, sig) == pairs, (k, sig)
             assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
             if sig[0] < 0:  # no dense count codes: the tuple children, for every pair too
-                assert _code_tables(len(sig), sig[0], sig[-1]) is None
+                assert _lane_bits(len(sig), sig[0], sig[-1]) == 0
                 every = [(i, j) for i in range(len(sig) - 1) for j in range(i + 1, len(sig))]
                 naive_stats = SolverStats()
                 naive = generate_children_naive(k, sig, parent_l, naive_stats)
@@ -241,12 +261,14 @@ class TestDominatedFilter:
             assert kept == self.maximal(sigs), sigs
             assert len(calls) == len(sigs)
             # the level step's dense count codes, on the values themselves
-            tables = sigs and _code_tables(len(sigs[0]), sigs[0][0], max(s[-1] for s in sigs))
-            if tables:
-                _, units, _, guard = tables
-                sig_of = {sum(map(units.__getitem__, s)): s for s in sigs}
+            top = max((s[-1] for s in sigs), default=0)
+            bits = sigs and _lane_bits(len(sigs[0]), sigs[0][0], top)
+            if bits:
+                units = _Units(len(sigs[0]), bits)
+                sig_of = {units.code(s): s for s in sigs}
+                assert list(sig_of) == [sum(map(units.__getitem__, s)) for s in sigs], sigs
                 assert len(sig_of) == len(sigs), sigs
-                kept = map(sig_of.__getitem__, _scan(sig_of, guard))
+                kept = map(sig_of.__getitem__, _scan(sig_of, units.guard(top)))
                 assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
 
     @staticmethod
@@ -464,9 +486,7 @@ class TestUnitEdgeLevels:
                 step = _unit_edge_level([(a, parent_l)], None)
                 kept, merged, counts = step
                 assert len(kept) + counts[3] == len(kept) == len(expected), values
-                assert {c: merged[c] for c in kept} == {
-                    rec.child: (a, parent_l, rec[1:5]) for rec in expected
-                }, (values, parent_l)
+                assert [_record(c, *merged[c]) for c in kept] == expected, (values, parent_l)
                 assert counts == (len(pairs), stats.pruned_negative, stats.pruned_dominated, 0), (
                     values, parent_l)
                 for prune in (True, False):
@@ -597,11 +617,10 @@ class TestDecide:
 
     def test_huge_k_matches_recursive_oracle(self, monkeypatch):
         # values past 2**63 are too large for dense count codes: the level
-        # step keeps tuple children, which the scan codes by rank.  Dense
-        # tables for them would not fit in memory, so building one fails here
-        def count_tables(lanes, bits):
-            assert lanes <= 1 << 16, lanes
-            return _count_tables(lanes, bits)
+        # step keeps tuple children, which the scan packs by rank.  A count
+        # code of them would not fit in memory, so asking for one fails here
+        def units(n, bits):
+            raise AssertionError(f"count codes of {n} values in {bits}-bit lanes")
 
         scanned = []
 
@@ -609,7 +628,7 @@ class TestDecide:
             scanned.append(len(sigs))
             return _dominated_filter(sigs, check_time)
 
-        monkeypatch.setattr("splittree.solver._count_tables", count_tables)
+        monkeypatch.setattr("splittree.solver._Units", units)
         monkeypatch.setattr("splittree.solver._dominated_filter", dominated_filter)
         rng = random.Random(31)
         verdicts, crowded = set(), 0
