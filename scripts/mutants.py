@@ -68,11 +68,11 @@ MUTANTS = [
      "self[top] << self.bits - 2", [CODES_TEST]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
      [CODES_TEST]),
-    ("codes-runs-one-short", "solver.py", "for c in range(n, 0, -1)]",
-     "for c in range(n - 1, -1, -1)]", [CODES_TEST]),
+    ("codes-runs-one-short", "solver.py", "runs = self.runs[len(a) : 0 : -1]",
+     "runs = self.runs[len(a) - 1 :: -1]", [CODES_TEST]),
     # flipped, values past 2**63 ask for count codes, which the test refuses to build
-    ("codes-dense-flipped", "solver.py", "return 0 if low < 0 or top * bits > 64 * n else bits",
-     "return bits if low < 0 or top * bits > 64 * n else 0", [HUGE_K_TEST]),
+    ("codes-dense-flipped", "solver.py", "if low < 0 or top * bits > 64 * n:",
+     "if not (low < 0 or top * bits > 64 * n):", [HUGE_K_TEST]),
     # the positional packing of the tuple children
     ("packer-narrow-word", "solver.py", "if hi_bits < w[0]", "if hi_bits <= w[0]", [RANK_TEST]),
     ("packer-low-guard", "solver.py", "1 << (size - 1)", "1 << (size - 2)", [RANK_TEST]),

@@ -152,22 +152,24 @@ def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
     return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
 
 
-def _lane_bits(n: int, low: int, top: int) -> int:
-    """``_Units``' lane width for ``n`` values in ``[low, top]``, or 0 for a
-    negative value or ``top * bits > 64 * n`` (a code over ``n`` words)."""
+def _units(n: int, low: int, top: int) -> _Units | None:
+    """Count codes of ``n`` values in ``[low, top]``, lanes of 8 bits below 128
+    values, 16 from there; None (tuples) for a negative value or ``top * bits >
+    64 * n`` (a code over ``n`` words, so 8-bit codes hold values below 1024)."""
     bits = 8 * (n.bit_length() // 8 + 1)
-    return 0 if low < 0 or top * bits > 64 * n else bits
+    if low < 0 or top * bits > 64 * n:
+        return None
+    return _UNITS_8 if bits == 8 else _Units(bits, n)  # one memo serves all 8-bit codes
 
 
 class _Units(dict):
-    """Count codes of sorted signatures of ``n`` values: lane ``t >= 1``,
-    ``bits`` wide from bit ``bits * (t - 1)``, holds how many values are
-    ``>= t``, below a guard bit.  ``units[v]``, 1 in lanes ``1..v``, is built
-    on first use, so only for values that occur."""
+    """Count codes of up to ``n`` values: lane ``t >= 1``, ``bits`` wide from bit
+    ``bits * (t - 1)``, holds how many values are ``>= t``, below a guard bit;
+    ``units[v]``, 1 in lanes ``1..v``, is built on first use (values that occur)."""
 
-    def __init__(self, n: int, bits: int) -> None:
+    def __init__(self, bits: int, n: int) -> None:
         self.bits, self.ones = bits, (1 << bits) - 1
-        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n, 0, -1)]
+        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n + 1)]
 
     def __missing__(self, v: int) -> int:
         unit = self[v] = ((1 << self.bits * v) - 1) // self.ones
@@ -175,16 +177,19 @@ class _Units(dict):
 
     def code(self, a: Signature) -> int:
         """``a``'s code: ``len(a) - i`` in lanes ``a[i-1] < t <= a[i]``."""
-        return int.from_bytes(b"".join(map(mul, self.runs, map(sub, a, (0, *a)))), "little")
+        runs = self.runs[len(a) : 0 : -1]
+        return int.from_bytes(b"".join(map(mul, runs, map(sub, a, (0, *a)))), "little")
 
     def guard(self, top: int) -> int:  # the top bit of each lane 1..top
         return self[top] << self.bits - 1
 
 
+_UNITS_8 = _Units(8, 127)  # at most 1,024 units of 1 kB or less
+
+
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
-    """Undominated codes, descending, one ``check_time`` each: ``o`` dominates
-    ``c`` iff ``(o | guard) - c`` keeps every guard bit (no lane borrows), so a
-    dominator's code is larger and is scanned first."""
+    """Undominated codes, descending, one ``check_time`` each: ``o`` dominates ``c``
+    iff ``(o | guard) - c`` keeps every guard bit, so its code is larger."""
     kept: list[int] = []
     fronts = []  # kept codes | guard
     for code in sorted(codes, reverse=True):
@@ -206,7 +211,7 @@ def _dominated_filter(
     collection, by descending sum, ties ascending; ``check_time``, if given,
     runs before each candidate is scanned.
 
-    Tuples, as where count codes do not fit (``_lane_bits`` is 0), are
+    Tuples, as where count codes do not fit (``_units`` is None), are
     packed by position for ``_scan``: value ``i`` in lane ``i``, the 8-, 16-,
     32- or 64-bit word of the narrowest size whose top bit, the guard, lies
     above the largest value (one ``struct`` call); by rank among the distinct
@@ -340,11 +345,9 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
     its first pair, for ``_child``; the pairs that give a negative child; the
     distinct children a sibling dominates.  Without ``scan``, every distinct
     non-negative child, in the order of first generation, and 0 dominated.
-
     With ``units``, a child is its count code, ``((code(a) - units[lo] -
-    units[hi]) & units[min(cap, a[-1])] * ones) + units[w]`` for values ``lo
-    <= hi`` (the mask cuts lanes past ``cap``), negative iff ``w`` is, and
-    ``_scan`` filters them.  Without, they are ``_child``'s tuples.
+    units[hi]) & units[min(cap, a[-1])] * ones) + units[w]`` for ``lo <= hi``
+    (the mask cuts lanes past ``cap``), and ``_scan`` filters them.
 
     Pairs of equal values give equal children, so each distinct value pair
     is reduced once; the repeats of a negative one still count as negatives.
@@ -392,8 +395,7 @@ def _record(
 
 def _generate(k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float,
               stats: SolverStats | None) -> list[MergeRecord]:
-    bits = _lane_bits(len(a), a[0], a[-1])
-    children, negatives, dominated = _expand(k, a, pairs, _Units(len(a), bits) if bits else None)
+    children, negatives, dominated = _expand(k, a, pairs, _units(len(a), a[0], a[-1]))
     if stats is not None:
         stats.signatures_generated += len(pairs)
         stats.pruned_negative += negatives
@@ -472,7 +474,7 @@ def _expand_level(
     check_time: Callable[[], None] | None,
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
     """``_run_levels``' step to length ``z``: every parent's children
-    (``_expand``'s count codes, or tuples where ``_lane_bits`` is 0), then,
+    (``_expand``'s count codes, or tuples where ``_units`` is None), then,
     if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
     parents on, a pruned level reads both off one ``_dominators`` pass over
     the union of all children as tuples; narrower levels scan.  A child is
@@ -484,8 +486,7 @@ def _expand_level(
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     top = max(a[-1] for a, _ in parents)
-    bits = _lane_bits(z + 1, 0, top)
-    units = _Units(z + 1, bits) if bits else None
+    units = _units(z + 1, 0, top)
     merged = {}  # child code (or tuple) -> (parent, parent_l, provenance) of first derivation
     groups = []  # every parent's children, when fused
     pairs = negatives = dominated = 0

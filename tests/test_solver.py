@@ -28,13 +28,12 @@ from splittree.solver import (
     _dominators,
     _expand_level,
     _generate,
-    _lane_bits,
     _pairs,
     _record,
     _scan,
     _undominated,
     _unit_edge_level,
-    _Units,
+    _units,
     decide,
     generate_children_fast,
     generate_children_naive,
@@ -150,7 +149,7 @@ class TestGenerators:
         # each); lane units are built only for the values that occur, never
         # as a table of every value up to 6,000, which grows with its square
         sig = canonicalize([6000] * 3000)
-        assert _lane_bits(len(sig), sig[0], sig[-1]) == 16
+        assert _units(len(sig), sig[0], sig[-1]).bits == 16
         tracemalloc.start()
         try:
             recs = generate_children_fast(3, sig)
@@ -206,7 +205,7 @@ class TestGenerators:
             assert _pairs(k, sig) == pairs, (k, sig)
             assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
             if sig[0] < 0:  # no dense count codes: the tuple children, for every pair too
-                assert _lane_bits(len(sig), sig[0], sig[-1]) == 0
+                assert _units(len(sig), sig[0], sig[-1]) is None
                 every = [(i, j) for i in range(len(sig) - 1) for j in range(i + 1, len(sig))]
                 naive_stats = SolverStats()
                 naive = generate_children_naive(k, sig, parent_l, naive_stats)
@@ -262,9 +261,8 @@ class TestDominatedFilter:
             assert len(calls) == len(sigs)
             # the level step's dense count codes, on the values themselves
             top = max((s[-1] for s in sigs), default=0)
-            bits = sigs and _lane_bits(len(sigs[0]), sigs[0][0], top)
-            if bits:
-                units = _Units(len(sigs[0]), bits)
+            units = _units(len(sigs[0]), sigs[0][0], top) if sigs else None
+            if units is not None:
                 sig_of = {units.code(s): s for s in sigs}
                 assert list(sig_of) == [sum(map(units.__getitem__, s)) for s in sigs], sigs
                 assert len(sig_of) == len(sigs), sigs
@@ -618,9 +616,9 @@ class TestDecide:
     def test_huge_k_matches_recursive_oracle(self, monkeypatch):
         # values past 2**63 are too large for dense count codes: the level
         # step keeps tuple children, which the scan packs by rank.  A count
-        # code of them would not fit in memory, so asking for one fails here
-        def units(n, bits):
-            raise AssertionError(f"count codes of {n} values in {bits}-bit lanes")
+        # code of them would not fit in memory, so being offered one fails here
+        def units(n, low, top):
+            assert _units(n, low, top) is None, (n, low, top)
 
         scanned = []
 
@@ -628,7 +626,7 @@ class TestDecide:
             scanned.append(len(sigs))
             return _dominated_filter(sigs, check_time)
 
-        monkeypatch.setattr("splittree.solver._Units", units)
+        monkeypatch.setattr("splittree.solver._units", units)
         monkeypatch.setattr("splittree.solver._dominated_filter", dominated_filter)
         rng = random.Random(31)
         verdicts, crowded = set(), 0
