@@ -153,9 +153,8 @@ def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
 
 
 def _units(n: int, low: int, top: int) -> _Units | None:
-    """Count codes of ``n`` values in ``[low, top]``, lanes of 8 bits below 128
-    values, 16 from there; None (tuples) for a negative value or ``top * bits >
-    64 * n`` (a code over ``n`` words, so 8-bit codes hold values below 1024)."""
+    """Count codes of ``n`` values in ``[low, top]`` (8-bit lanes below 128 values, 16
+    from there); None for a negative value or ``top * bits > 64 * n`` (over ``n`` words)."""
     bits = 8 * (n.bit_length() // 8 + 1)
     if low < 0 or top * bits > 64 * n:
         return None
@@ -184,7 +183,7 @@ class _Units(dict):
         return self[top] << self.bits - 1
 
 
-_UNITS_8 = _Units(8, 127)  # at most 1,024 units of 1 kB or less
+_UNITS_8 = _Units(8, 127)  # 8-bit codes hold values below 1024: 1,024 units of 1 kB at most
 
 
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
@@ -347,10 +346,9 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
     non-negative child, in the order of first generation, and 0 dominated.
     With ``units``, a child is its count code, ``((code(a) - units[lo] -
     units[hi]) & units[min(cap, a[-1])] * ones) + units[w]`` for ``lo <= hi``
-    (the mask cuts lanes past ``cap``), and ``_scan`` filters them.
-
-    Pairs of equal values give equal children, so each distinct value pair
-    is reduced once; the repeats of a negative one still count as negatives.
+    (the mask cuts lanes past ``cap``), and ``_scan`` filters them.  Pairs of
+    equal values give equal children, so each distinct value pair is reduced
+    once; the repeats of a negative one still count as negatives.
     """
     n = len(a)
     cands: dict = {}
@@ -477,12 +475,13 @@ def _expand_level(
     (``_expand``'s count codes, or tuples where ``_units`` is None), then,
     if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
     parents on, a pruned level reads both off one ``_dominators`` pass over
-    the union of all children as tuples; narrower levels scan.  A child is
-    dominated within its parent iff a sibling dominates it.  What a parent
-    drops has a dominator that it keeps, so all children and the kept ones
-    have the same survivors; a survivor is kept by every parent generating
-    it, so its first derivation is the one of the per-parent scans.  Coded
-    survivors are built by ``_child``; all go in ``_dominated_filter``'s order.
+    the union of all children (lanes: 8-bit codes' bytes, else tuples);
+    narrower levels scan.  A child is dominated within its parent iff a
+    sibling dominates it.  What a parent drops has a dominator that it keeps,
+    so all children and the kept ones have the same survivors; a survivor is
+    kept by every parent generating it, so its first derivation is the one of
+    the per-parent scans.  Coded survivors are built by ``_child``; all go in
+    ``_dominated_filter``'s order.
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     top = max(a[-1] for a, _ in parents)
@@ -509,7 +508,8 @@ def _expand_level(
                 else _scan(merged, units.guard(top), check_time))
         dropped_level = len(merged) - len(kept)
     else:
-        lanes = list(merged) if units is None else [_child(a, *p) for a, _, p in merged.values()]
+        lanes = (list(merged) if units is None else [c.to_bytes(top, "little") for c in merged]
+                 if units.bits == 8 else [_child(a, *p) for a, _, p in merged.values()])
         order, above = _dominators(lanes, check_time)
         index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
         some_kept: set[int] = set()  # bits of children a parent keeps
