@@ -55,17 +55,24 @@ MUTANTS = [
     ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),
     ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
     ("expand-tail-length", "solver.py", "(n - q - 1)", "(n - q)", [EXPAND_TEST]),
-    ("expand-singleton-cap", "solver.py", "            w = min(w, cap)\n", "", [EXPAND_TEST]),
+    ("expand-singleton-cap", "solver.py", "                w = min(w, cap)\n", "", [EXPAND_TEST]),
+    ("expand-singleton-uncut", "solver.py", "                cap = min(cap, 0)\n", "",
+     [EXPAND_TEST]),
+    # k - 1 is equivalent: at a gap of k - 2 both branches give lo - 1
+    ("omega-branch-early", "solver.py", "if gap >= k - 2 else", "if gap >= k - 3 else",
+     [EXPAND_TEST]),
     ("level-sort-in-assert", "solver.py", "    kept.sort(key=sum if prune",
      "    assert not kept.sort(key=sum if prune",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # count codes: the child, the lanes and the dense/tuple choice
-    ("codes-hi-as-lo", "solver.py", "code - units[lo] - units[hi]",
-     "code - units[lo] - units[lo]", [EXPAND_TEST]),
-    ("codes-no-cap-cut", "solver.py", "((code - units[lo] - units[hi]) & cut)",
-     "(code - units[lo] - units[hi])", [EXPAND_TEST]),
-    ("codes-guard-one-bit-down", "solver.py", "self[top] << self.bits - 1",
-     "self[top] << self.bits - 2", [CODES_TEST]),
+    ("codes-hi-as-lo", "solver.py", "code - unit[lo] - unit[hi]",
+     "code - unit[lo] - unit[lo]", [EXPAND_TEST]),
+    ("codes-no-cap-cut", "solver.py", "((code - unit[lo] - unit[hi]) & cut)",
+     "(code - unit[lo] - unit[hi])", [EXPAND_TEST]),
+    ("codes-guard-one-bit-down", "solver.py", "self.unit[top] << self.bits - 1",
+     "self.unit[top] << self.bits - 2", [CODES_TEST]),
+    ("codes-units-one-short", "solver.py", "while len(unit) <= top:", "while len(unit) < top:",
+     [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
      [CODES_TEST]),
     ("codes-runs-one-short", "solver.py", "runs = self.runs[len(a) : 0 : -1]",

@@ -9,10 +9,10 @@ is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
 a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it a
-child is its count code (``_Units``), built as a tuple only if kept; where a
-value is negative or ``M * bits > 64 * n`` the children are tuples, packed by
-position.  A pass over a whole level's union of children reads
-``_dominators``' masks; every other pass is ``_scan``.
+child is its count code (``_Units``: a sum of lane units, at 8 bits off one
+shared list), built as a tuple only if kept; children are tuples, packed by
+position, where a value is negative or ``M * bits > 64 * n``.  A pass over a
+whole level's union reads ``_dominators``' masks; every other pass is ``_scan``.
 """
 
 from __future__ import annotations
@@ -158,21 +158,34 @@ def _units(n: int, low: int, top: int) -> _Units | None:
     bits = 8 * (n.bit_length() // 8 + 1)
     if low < 0 or top * bits > 64 * n:
         return None
-    return _UNITS_8 if bits == 8 else _Units(bits, n)  # one memo serves all 8-bit codes
+    if bits > 8:
+        return _Units(bits, n, _Memo(bits))
+    unit = _UNITS_8.unit  # one list serves all 8-bit codes, grown to the largest top so far
+    while len(unit) <= top:
+        assert len(unit) <= 8 * 127  # so the list stays bounded: top * 8 <= 64 * n < 8 * 128
+        unit.append(((1 << 8 * len(unit)) - 1) // 255)
+    return _UNITS_8
 
 
-class _Units(dict):
-    """Count codes of up to ``n`` values: lane ``t >= 1``, ``bits`` wide from bit
-    ``bits * (t - 1)``, holds how many values are ``>= t``, below a guard bit;
-    ``units[v]``, 1 in lanes ``1..v``, is built on first use (values that occur)."""
+class _Memo(dict):
+    """``unit[v]`` of count codes of ``bits``-bit lanes, built on first use (values that occur)."""
 
-    def __init__(self, bits: int, n: int) -> None:
-        self.bits, self.ones = bits, (1 << bits) - 1
-        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n + 1)]
+    def __init__(self, bits: int) -> None:
+        self.bits = bits
 
     def __missing__(self, v: int) -> int:
-        unit = self[v] = ((1 << self.bits * v) - 1) // self.ones
+        unit = self[v] = ((1 << self.bits * v) - 1) // ((1 << self.bits) - 1)
         return unit
+
+
+class _Units:
+    """Count codes of up to ``n`` values: lane ``t >= 1``, ``bits`` wide from bit
+    ``bits * (t - 1)``, holds how many values are ``>= t``, below a guard bit;
+    ``unit[v]`` holds 1 in lanes ``1..v``: a list for 8-bit codes, a ``_Memo`` for wider ones."""
+
+    def __init__(self, bits: int, n: int, unit: list[int] | _Memo) -> None:
+        self.bits, self.unit = bits, unit
+        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n + 1)]
 
     def code(self, a: Signature) -> int:
         """``a``'s code: ``len(a) - i`` in lanes ``a[i-1] < t <= a[i]``."""
@@ -180,10 +193,10 @@ class _Units(dict):
         return int.from_bytes(b"".join(map(mul, runs, map(sub, a, (0, *a)))), "little")
 
     def guard(self, top: int) -> int:  # the top bit of each lane 1..top
-        return self[top] << self.bits - 1
+        return self.unit[top] << self.bits - 1
 
 
-_UNITS_8 = _Units(8, 127)  # 8-bit codes hold values below 1024: 1,024 units of 1 kB at most
+_UNITS_8 = _Units(8, 127, [])  # values up to 8 * 127 = 1016: 1,017 units, about 0.5 MB
 
 
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
@@ -344,34 +357,37 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
     its first pair, for ``_child``; the pairs that give a negative child; the
     distinct children a sibling dominates.  Without ``scan``, every distinct
     non-negative child, in the order of first generation, and 0 dominated.
-    With ``units``, a child is its count code, ``((code(a) - units[lo] -
-    units[hi]) & units[min(cap, a[-1])] * ones) + units[w]`` for ``lo <= hi``
-    (the mask cuts lanes past ``cap``), and ``_scan`` filters them.  Pairs of
-    equal values give equal children, so each distinct value pair is reduced
-    once; the repeats of a negative one still count as negatives.
+    With ``units``, a child is its count code, ``((code(a) - unit[lo] -
+    unit[hi]) & (1 << bits * min(cap, a[-1])) - 1) + unit[w]`` for ``lo <=
+    hi`` (the cut clears the lanes past ``cap``), and ``_scan`` filters them.
+    Pairs of equal values give equal children, so each distinct value pair is
+    reduced once; the repeats of a negative one still count as negatives.
     """
     n = len(a)
     cands: dict = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
     if units is not None:
-        code, ones = units.code(a), units.ones
+        code, bits, unit, top = units.code(a), units.bits, units.unit, a[-1]
     for i, j in pairs:
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
         if negative is None:
-            w = lo - max(1, (k - hi + lo + 1) // 2)  # signature.omega(k, lo, hi), as lo <= hi
-            cap = w + k - 1 if n > 2 else min(w + k - 1, 0)
-            w = min(w, cap)
+            gap = hi - lo  # w = signature.omega(k, lo, hi), as lo <= hi
+            w = lo - 1 if gap >= k - 2 else lo - (k - gap + 1) // 2
+            cap = w + k - 1
+            if n == 2:  # the singleton is cut to min(w + k - 1, 0)
+                cap = min(cap, 0)
+                w = min(w, cap)
             if units is None:
                 child = _child(a, i, j, w, cap)
                 negative = child[0] < 0
             else:
                 negative = w < 0
                 if not negative:
-                    cut = units[min(cap, a[-1])] * ones
-                    child = ((code - units[lo] - units[hi]) & cut) + units[w]
-                    assert child.bit_length() <= units.bits * cap
+                    cut = (1 << bits * (cap if cap < top else top)) - 1
+                    child = ((code - unit[lo] - unit[hi]) & cut) + unit[w]
+                    assert child.bit_length() <= bits * cap
             negative_of[lo, hi] = negative
             if not negative and child not in cands:
                 cands[child] = (i, j, w, cap)
@@ -383,9 +399,8 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
     return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
 
-def _record(
-    child: Signature, a: LeafSignature, parent_l: float, provenance: tuple[int, int, int, int]
-) -> MergeRecord:
+def _record(child: Signature, a: LeafSignature, parent_l: float,
+            provenance: tuple[int, int, int, int]) -> MergeRecord:
     i, j, inserted, cap = provenance
     child = tuple.__new__(LeafSignature, child)
     return MergeRecord(a, a[i], a[j], inserted, cap, child, min(parent_l, inserted))

@@ -159,6 +159,19 @@ class TestGenerators:
         assert [r.child for r in recs] == [(5998,) + (6000,) * 2998]
         assert peak < 2**22, peak
 
+    def test_shared_8bit_units_stay_bounded(self):
+        # 8-bit codes hold at most 127 values of up to 8 * 127 = 1016: the
+        # units list that all of them share grows to the largest top and no
+        # further (a decide here would take too long: equal deep bounds at
+        # k = 10 make the levels blow up)
+        recs = generate_children_fast(10, canonicalize([1016] * 127))
+        assert [r.child for r in recs] == [(1011,) + (1016,) * 125]
+        unit = _units(127, 0, 1016).unit
+        assert unit is _units(2, 0, 0).unit
+        assert len(unit) == 1017 <= 1024
+        assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
+        assert _units(127, 0, 1017) is None
+
     def test_early_exit_keeps_counters_and_records(self):
         # reference scan: every partner j of i, one pair per (i, omega) class
         rng = random.Random(2024)
@@ -264,7 +277,7 @@ class TestDominatedFilter:
             units = _units(len(sigs[0]), sigs[0][0], top) if sigs else None
             if units is not None:
                 sig_of = {units.code(s): s for s in sigs}
-                assert list(sig_of) == [sum(map(units.__getitem__, s)) for s in sigs], sigs
+                assert list(sig_of) == [sum(map(units.unit.__getitem__, s)) for s in sigs], sigs
                 assert len(sig_of) == len(sigs), sigs
                 kept = map(sig_of.__getitem__, _scan(sig_of, units.guard(top)))
                 assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
