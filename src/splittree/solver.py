@@ -162,7 +162,7 @@ def _units(n: int, low: int, top: int) -> _Units | None:
         return _Units(bits, n, _Memo(bits))
     unit = _UNITS_8.unit  # one list serves all 8-bit codes, grown to the largest top so far
     while len(unit) <= top:
-        assert len(unit) <= 8 * 127  # so the list stays bounded: top * 8 <= 64 * n < 8 * 128
+        assert len(unit) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
         unit.append(((1 << 8 * len(unit)) - 1) // 255)
     return _UNITS_8
 
