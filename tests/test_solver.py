@@ -168,7 +168,7 @@ class TestGenerators:
         assert [r.child for r in recs] == [(1011,) + (1016,) * 125]
         unit = _units(127, 0, 1016).unit
         assert unit is _units(2, 0, 0).unit
-        assert len(unit) == 1017 <= 1024
+        assert len(unit) == 1017  # of the 1,024 that values below 1024 could take
         assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
         assert _units(127, 0, 1017) is None
 
