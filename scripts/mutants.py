@@ -8,7 +8,9 @@ Each mutant replaces one piece of text, found exactly once, in a module of
 pinned outputs), and its named tests run there in one pytest process;
 mutants run one after another.  A mutant is killed when pytest reports a
 failing test or its run takes longer than 15 minutes (a mutant may keep a
-loop from ending).
+loop from ending).  Each run's address space is capped at 2 GiB, so that a
+mutant that allocates without bound fails with MemoryError, and is killed,
+instead of taking the machine's memory.
 First the named tests must pass on the unmutated copy.  The script prints
 killed or survived per mutant and exits 1 if any mutant survives, 2 if the
 unmutated tests fail or a mutant's text no longer occurs exactly once.
@@ -17,6 +19,7 @@ unmutated tests fail or a mutant's text no longer occurs exactly once.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,6 +34,7 @@ RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 CODES_TEST = SOLVER + "TestDominatedFilter::test_matches_brute_force_maximal_set"
 HUGE_K_TEST = SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
+CROWDED_TEST = SOLVER + "TestFusedLevels::test_crowded_lanes_match_scans"
 UNIT_EDGE_TEST = SOLVER + "TestUnitEdgeLevels::test_closed_form_matches_expand"
 LEVEL_TEST = SOLVER + "TestDominators::test_matches_scan_and_brute_force"
 PINNED_TEST = "tests/test_cli.py::test_pinned_stdout"
@@ -69,14 +73,17 @@ MUTANTS = [
      "code - unit[lo] - unit[lo]", [EXPAND_TEST]),
     ("codes-no-cap-cut", "solver.py", "((code - unit[lo] - unit[hi]) & cut)",
      "(code - unit[lo] - unit[hi])", [EXPAND_TEST]),
-    ("codes-guard-one-bit-down", "solver.py", "self.unit[top] << self.bits - 1",
-     "self.unit[top] << self.bits - 2", [CODES_TEST]),
-    ("codes-units-one-short", "solver.py", "while len(unit) <= top:", "while len(unit) < top:",
-     [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
+    ("codes-guard-one-bit-down", "solver.py", "_scan(cands, unit[top] << bits - 1)",
+     "_scan(cands, unit[top] << bits - 2)", [EXPAND_TEST]),
+    ("codes-level-guard-one-bit-down", "solver.py", "_scan(merged, unit[top] << bits - 1,",
+     "_scan(merged, unit[top] << bits - 2,", [CROWDED_TEST]),
+    ("codes-units-one-short", "solver.py", "while len(_UNIT_8) <= top:",
+     "while len(_UNIT_8) < top:", [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
      [CODES_TEST]),
-    ("codes-runs-one-short", "solver.py", "runs = self.runs[len(a) : 0 : -1]",
-     "runs = self.runs[len(a) - 1 :: -1]", [CODES_TEST]),
+    ("codes-sum-one-short", "solver.py", "sum(map(unit.__getitem__, a))",
+     "sum(map(unit.__getitem__, a[1:]))",
+     [CROWDED_TEST, SOLVER + "TestTraceLevels::test_reference_levels_exact"]),
     # flipped, values past 2**63 ask for count codes, which the test refuses to build
     ("codes-dense-flipped", "solver.py", "if low < 0 or top * bits > 64 * n:",
      "if not (low < 0 or top * bits > 64 * n):", [HUGE_K_TEST]),
@@ -92,6 +99,8 @@ MUTANTS = [
      "some_kept.update(at)", [FUSED_TEST]),
     ("fused-unpruned", "solver.py", "fused = prune and len(parents)", "fused = len(parents)",
      [FUSED_TEST]),
+    ("fused-16bit-byte-lanes", "solver.py", "[_child(a, *p) for a, _, p in merged.values()]",
+     '[c.to_bytes(2 * top, "little") for c in merged]', [CROWDED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
     # the level-wide masks built from byte strings, and the kept lists' order
@@ -108,7 +117,8 @@ MUTANTS = [
      "kept = list(c for c, up in zip(order, above)",
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
     # the scan as the level-wide pass of a level too narrow to fuse
-    ("narrow-level-unfiltered", "solver.py", "else _scan(merged, units.guard(top), check_time))",
+    ("narrow-level-unfiltered", "solver.py",
+     "else _scan(merged, unit[top] << bits - 1, check_time))",
      "else list(merged))", [FUSED_TEST]),
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
@@ -161,6 +171,13 @@ MUTANTS = [
 ]
 
 
+MEMORY_CAP = 2 << 30  # bytes of address space for each pytest run
+
+
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run_tests(copy: Path, test_ids: list[str]) -> int:
     """pytest's exit code for ``test_ids`` in ``copy``: 0 passed, 1 failed
     (a run that times out counts as failed)."""
@@ -169,7 +186,7 @@ def run_tests(copy: Path, test_ids: list[str]) -> int:
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
     try:
         return subprocess.run(command, cwd=copy, env=env, capture_output=True,
-                              timeout=900).returncode
+                              timeout=900, preexec_fn=cap_memory).returncode
     except subprocess.TimeoutExpired:
         return 1
 

@@ -9,10 +9,11 @@ is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
 a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it a
-child is its count code (``_Units``: a sum of lane units, at 8 bits off one
-shared list), built as a tuple only if kept; children are tuples, packed by
-position, where a value is negative or ``M * bits > 64 * n``.  A pass over a
-whole level's union reads ``_dominators``' masks; every other pass is ``_scan``.
+child is its count code, the sum of its values' lane units (``_units``; at 8
+bits off one shared list), built as a tuple only if kept; children are tuples,
+packed by position, where a value is negative or ``M * bits > 64 * n``.  A
+pass over a whole level's union reads ``_dominators``' masks; every other
+pass is ``_scan``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, count, repeat, starmap
-from operator import itemgetter, mul, or_, sub
+from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -152,19 +153,26 @@ def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
     return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
 
 
-def _units(n: int, low: int, top: int) -> _Units | None:
-    """Count codes of ``n`` values in ``[low, top]`` (8-bit lanes below 128 values, 16
-    from there); None for a negative value or ``top * bits > 64 * n`` (over ``n`` words)."""
+def _units(n: int, low: int, top: int) -> tuple[int, list[int] | _Memo] | None:
+    """``(bits, unit)`` for count codes of ``n`` values in ``[low, top]``; None for a
+    negative value or ``top * bits > 64 * n`` (a code over ``n`` words).  Lane ``t >= 1``,
+    ``bits`` wide from bit ``bits * (t - 1)``, holds how many values are ``>= t``, below a
+    guard bit; ``unit[v]`` holds 1 in lanes ``1..v``, so a code is the sum of its values'
+    units.  ``bits`` is the least multiple of 8 above ``n``'s bit length: 8 below 128
+    values, 16 below 32,768, 24 below 2**23.  ``unit`` is one shared list at 8 bits, else
+    a ``_Memo``."""
     bits = 8 * (n.bit_length() // 8 + 1)
     if low < 0 or top * bits > 64 * n:
         return None
     if bits > 8:
-        return _Units(bits, n, _Memo(bits))
-    unit = _UNITS_8.unit  # one list serves all 8-bit codes, grown to the largest top so far
-    while len(unit) <= top:
-        assert len(unit) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
-        unit.append(((1 << 8 * len(unit)) - 1) // 255)
-    return _UNITS_8
+        return bits, _Memo(bits)
+    while len(_UNIT_8) <= top:  # one list serves all 8-bit codes, grown to the largest top
+        assert len(_UNIT_8) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
+        _UNIT_8.append(((1 << 8 * len(_UNIT_8)) - 1) // 255)
+    return 8, _UNIT_8
+
+
+_UNIT_8: list[int] = []  # values up to 8 * 127 = 1016: 1,017 units, about 0.5 MB
 
 
 class _Memo(dict):
@@ -176,27 +184,6 @@ class _Memo(dict):
     def __missing__(self, v: int) -> int:
         unit = self[v] = ((1 << self.bits * v) - 1) // ((1 << self.bits) - 1)
         return unit
-
-
-class _Units:
-    """Count codes of up to ``n`` values: lane ``t >= 1``, ``bits`` wide from bit
-    ``bits * (t - 1)``, holds how many values are ``>= t``, below a guard bit;
-    ``unit[v]`` holds 1 in lanes ``1..v``: a list for 8-bit codes, a ``_Memo`` for wider ones."""
-
-    def __init__(self, bits: int, n: int, unit: list[int] | _Memo) -> None:
-        self.bits, self.unit = bits, unit
-        self.runs = [c.to_bytes(bits // 8, "little") for c in range(n + 1)]
-
-    def code(self, a: Signature) -> int:
-        """``a``'s code: ``len(a) - i`` in lanes ``a[i-1] < t <= a[i]``."""
-        runs = self.runs[len(a) : 0 : -1]
-        return int.from_bytes(b"".join(map(mul, runs, map(sub, a, (0, *a)))), "little")
-
-    def guard(self, top: int) -> int:  # the top bit of each lane 1..top
-        return self.unit[top] << self.bits - 1
-
-
-_UNITS_8 = _Units(8, 127, [])  # values up to 8 * 127 = 1016: 1,017 units, about 0.5 MB
 
 
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
@@ -350,16 +337,19 @@ def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
     return a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
 
 
-def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Units | None,
+def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]],
+            units: tuple[int, list[int] | _Memo] | None,
             scan: bool = True) -> tuple[dict, int, int]:
     """``(children, negatives, dominated)``: the undominated non-negative
     children of ``a`` over ``pairs``, each with the ``(i, j, omega, cap)`` of
     its first pair, for ``_child``; the pairs that give a negative child; the
     distinct children a sibling dominates.  Without ``scan``, every distinct
     non-negative child, in the order of first generation, and 0 dominated.
-    With ``units``, a child is its count code, ``((code(a) - unit[lo] -
-    unit[hi]) & (1 << bits * min(cap, a[-1])) - 1) + unit[w]`` for ``lo <=
-    hi`` (the cut clears the lanes past ``cap``), and ``_scan`` filters them.
+    With ``units = (bits, unit)``, a child is its count code, ``((code -
+    unit[lo] - unit[hi]) & (1 << bits * min(cap, a[-1])) - 1) + unit[w]`` for
+    ``lo <= hi`` and ``a``'s code ``code = sum(unit[v] for v in a)`` (the cut
+    clears the lanes past ``cap``), and ``_scan`` filters them with the guard
+    ``unit[a[-1]] << bits - 1``, the top bit of each lane.
     Pairs of equal values give equal children, so each distinct value pair is
     reduced once; the repeats of a negative one still count as negatives.
     """
@@ -368,7 +358,8 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
     if units is not None:
-        code, bits, unit, top = units.code(a), units.bits, units.unit, a[-1]
+        bits, unit = units
+        code, top = sum(map(unit.__getitem__, a)), a[-1]
     for i, j in pairs:
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
@@ -394,7 +385,7 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]], units: _Unit
         negatives += negative
     if not scan:
         return cands, negatives, 0
-    kept = _dominated_filter(cands) if units is None else _scan(cands, units.guard(a[-1]))
+    kept = _dominated_filter(cands) if units is None else _scan(cands, unit[top] << bits - 1)
     assert len(kept) <= k * (len(a) - 1)
     return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
@@ -501,6 +492,7 @@ def _expand_level(
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     top = max(a[-1] for a, _ in parents)
     units = _units(z + 1, 0, top)
+    bits, unit = units or (0, [])
     merged = {}  # child code (or tuple) -> (parent, parent_l, provenance) of first derivation
     groups = []  # every parent's children, when fused
     pairs = negatives = dominated = 0
@@ -520,11 +512,11 @@ def _expand_level(
     if not fused:
         kept = (list(merged) if not prune
                 else _dominated_filter(merged, check_time) if units is None
-                else _scan(merged, units.guard(top), check_time))
+                else _scan(merged, unit[top] << bits - 1, check_time))
         dropped_level = len(merged) - len(kept)
     else:
         lanes = (list(merged) if units is None else [c.to_bytes(top, "little") for c in merged]
-                 if units.bits == 8 else [_child(a, *p) for a, _, p in merged.values()])
+                 if bits == 8 else [_child(a, *p) for a, _, p in merged.values()])
         order, above = _dominators(lanes, check_time)
         index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
         some_kept: set[int] = set()  # bits of children a parent keeps

@@ -149,7 +149,7 @@ class TestGenerators:
         # each); lane units are built only for the values that occur, never
         # as a table of every value up to 6,000, which grows with its square
         sig = canonicalize([6000] * 3000)
-        assert _units(len(sig), sig[0], sig[-1]).bits == 16
+        assert _units(len(sig), sig[0], sig[-1])[0] == 16
         tracemalloc.start()
         try:
             recs = generate_children_fast(3, sig)
@@ -166,8 +166,8 @@ class TestGenerators:
         # k = 10 make the levels blow up)
         recs = generate_children_fast(10, canonicalize([1016] * 127))
         assert [r.child for r in recs] == [(1011,) + (1016,) * 125]
-        unit = _units(127, 0, 1016).unit
-        assert unit is _units(2, 0, 0).unit
+        bits, unit = _units(127, 0, 1016)
+        assert bits == 8 and unit is _units(2, 0, 0)[1]
         assert len(unit) == 1017  # of the 1,024 that values below 1024 could take
         assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
         assert _units(127, 0, 1017) is None
@@ -276,10 +276,10 @@ class TestDominatedFilter:
             top = max((s[-1] for s in sigs), default=0)
             units = _units(len(sigs[0]), sigs[0][0], top) if sigs else None
             if units is not None:
-                sig_of = {units.code(s): s for s in sigs}
-                assert list(sig_of) == [sum(map(units.unit.__getitem__, s)) for s in sigs], sigs
+                bits, unit = units
+                sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
                 assert len(sig_of) == len(sigs), sigs
-                kept = map(sig_of.__getitem__, _scan(sig_of, units.guard(top)))
+                kept = map(sig_of.__getitem__, _scan(sig_of, unit[top] << bits - 1))
                 assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
 
     @staticmethod
@@ -424,6 +424,29 @@ class TestFusedLevels:
                 monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
                 results.append(self.outputs(k, depths, config))
             assert results[0] == results[1] == results[2], (k, depths, config)
+
+    @pytest.mark.parametrize("n, bits", [(100, 8), (262, 16)])
+    def test_crowded_lanes_match_scans(self, monkeypatch, n, bits):
+        # a wide level of crowded parents: n values from a narrow window, a few
+        # below it, so that lane counts straddle 64 (8-bit lanes: from 64 on a
+        # count sets the bit just below the guard) or 256 (16-bit lanes: a code's
+        # bytes are not its lanes); the instances the other tests solve reach no
+        # fused level of 16-bit codes
+        rng = random.Random(53)
+        k, base = 4, 12
+        parents = set()
+        while len(parents) < _FUSED_MIN_PARENTS + 6:
+            low = [rng.randint(0, base - 1) for _ in range(rng.randint(1, 8))]
+            window = [rng.randint(base, base + 3) for _ in range(n - len(low))]
+            parents.add(canonicalize(low + window))
+        parents = [(a, math.inf) for a in sorted(parents)]
+        assert _units(n, 0, max(a[-1] for a, _ in parents))[0] == bits
+        results = []
+        for width in (0, 10**9):  # masks, scans
+            monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
+            kept, merged, counts = _expand_level(k, n - 1, parents, True, None)
+            results.append((kept, {c: merged[c] for c in kept}, counts))
+        assert results[0] == results[1]
 
 
 class TestSignatureType:
