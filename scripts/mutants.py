@@ -30,7 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
-RANK_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 CODES_TEST = SOLVER + "TestDominatedFilter::test_matches_brute_force_maximal_set"
 HUGE_K_TEST = SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
@@ -73,25 +72,26 @@ MUTANTS = [
      "code - unit[lo] - unit[lo]", [EXPAND_TEST]),
     ("codes-no-cap-cut", "solver.py", "((code - unit[lo] - unit[hi]) & cut)",
      "(code - unit[lo] - unit[hi])", [EXPAND_TEST]),
-    ("codes-guard-one-bit-down", "solver.py", "_scan(cands, unit[top] << bits - 1)",
-     "_scan(cands, unit[top] << bits - 2)", [EXPAND_TEST]),
-    ("codes-level-guard-one-bit-down", "solver.py", "_scan(merged, unit[top] << bits - 1,",
-     "_scan(merged, unit[top] << bits - 2,", [CROWDED_TEST]),
+    ("codes-guard-one-bit-down", "solver.py", "unit[top] << bits - 1",
+     "unit[top] << bits - 2", [EXPAND_TEST, CROWDED_TEST]),
     ("codes-units-one-short", "solver.py", "while len(_UNIT_8) <= top:",
      "while len(_UNIT_8) < top:", [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
-     [CODES_TEST]),
+     [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
     ("codes-sum-one-short", "solver.py", "sum(map(unit.__getitem__, a))",
      "sum(map(unit.__getitem__, a[1:]))",
      [CROWDED_TEST, SOLVER + "TestTraceLevels::test_reference_levels_exact"]),
     # flipped, values past 2**63 ask for count codes, which the test refuses to build
     ("codes-dense-flipped", "solver.py", "if low < 0 or top * bits > 64 * n:",
      "if not (low < 0 or top * bits > 64 * n):", [HUGE_K_TEST]),
-    # the positional packing of the tuple children
-    ("packer-narrow-word", "solver.py", "if hi_bits < w[0]", "if hi_bits <= w[0]", [RANK_TEST]),
-    ("packer-low-guard", "solver.py", "1 << (size - 1)", "1 << (size - 2)", [RANK_TEST]),
-    ("ranks-descending", "solver.py", "sorted(set(chain.from_iterable(order)))",
-     "sorted(set(chain.from_iterable(order)), reverse=True)", [HUGE_K_TEST, RANK_TEST]),
+    # positional codes: a lane one size too narrow, a guard one bit low, and
+    # positional codes read as byte lanes in the fused tail
+    ("packer-narrow-word", "solver.py", "if top.bit_length() < 8 * s)",
+     "if top.bit_length() <= 8 * s)", [CODES_TEST]),
+    ("packer-low-guard", "solver.py", 'bytes(size - 1) + b"\\x80"', 'bytes(size - 1) + b"\\x40"',
+     [CODES_TEST]),
+    ("positional-byte-lanes", "solver.py", "if bits == 8", "if bits != 16",
+     [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # per-parent domination read off the level-wide masks
     ("fused-no-sibling-mask", "solver.py", "if not above[b] & mask]", "if not above[b]]",
      [FUSED_TEST]),
@@ -118,8 +118,8 @@ MUTANTS = [
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
     # the scan as the level-wide pass of a level too narrow to fuse
     ("narrow-level-unfiltered", "solver.py",
-     "else _scan(merged, unit[top] << bits - 1, check_time))",
-     "else list(merged))", [FUSED_TEST]),
+     "kept = _scan(merged, guard, check_time) if prune else list(merged)",
+     "kept = list(merged)", [FUSED_TEST]),
     # children stay plain tuples until a record is built
     ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),

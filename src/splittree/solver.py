@@ -8,12 +8,13 @@ realizable iff a non-negative singleton survives down at length 1.  One level
 is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
-a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it a
-child is its count code, the sum of its values' lane units (``_units``; at 8
-bits off one shared list), built as a tuple only if kept; children are tuples,
-packed by position, where a value is negative or ``M * bits > 64 * n``.  A
-pass over a whole level's union reads ``_dominators``' masks; every other
-pass is ``_scan``.
+a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it
+every child is one integer, in the code that ``_units`` picks once per level:
+its count code, the sum of its values' lane units (at 8 bits off one shared
+list), or, where a value is negative or ``M * bits > 64 * n``, its positional
+code, value ``i`` in lane ``i``.  Only survivors are built as tuples.  A pass
+over a whole level's union reads ``_dominators``' masks; every other pass is
+``_scan``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import math
 import struct
 import time
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
-from itertools import accumulate, chain, count, repeat, starmap
-from operator import itemgetter, or_
+from itertools import accumulate, count
+from operator import or_
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -142,34 +142,38 @@ class SolverConfig:
 Signature = tuple[int, ...]
 
 
-@lru_cache(maxsize=1024)
-def _word_packer(lanes: int, hi_bits: int) -> tuple[Callable[..., bytes], int]:
-    """``(pack, guard)`` for signatures of ``lanes`` values in
-    ``[0, 2**hi_bits)``: ``pack`` writes each value into a little-endian word
-    of the narrowest size whose top bit lies above them, ``guard`` is the
-    packed integer holding just the top bit of every word."""
-    size, code = next(w for w in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if hi_bits < w[0])
-    pack = struct.Struct(f"<{lanes}{code}").pack
-    return pack, int.from_bytes(pack(*[1 << (size - 1)] * lanes), "little")
+def _units(n: int, low: int, top: int) -> tuple[int, list[int] | _Memo | Callable, int]:
+    """``(bits, unit, guard)`` for the codes of the children of a signature of ``n``
+    values in ``[low, top]``; ``guard`` holds the top bit of each lane.
 
+    Count codes where ``low >= 0`` and ``top * bits <= 64 * n`` (a code over at most
+    ``n`` words): lane ``t >= 1``, ``bits`` wide from bit ``bits * (t - 1)``, holds how
+    many values are ``>= t``; ``unit[v]`` holds 1 in lanes ``1..v``, so a code is the
+    sum of its values' units.  ``bits`` is the least multiple of 8 above ``n``'s bit
+    length: 8 below 128 values, 16 below 32,768, 24 below 2**23.  ``unit`` is one shared
+    list at 8 bits, else a ``_Memo``.
 
-def _units(n: int, low: int, top: int) -> tuple[int, list[int] | _Memo] | None:
-    """``(bits, unit)`` for count codes of ``n`` values in ``[low, top]``; None for a
-    negative value or ``top * bits > 64 * n`` (a code over ``n`` words).  Lane ``t >= 1``,
-    ``bits`` wide from bit ``bits * (t - 1)``, holds how many values are ``>= t``, below a
-    guard bit; ``unit[v]`` holds 1 in lanes ``1..v``, so a code is the sum of its values'
-    units.  ``bits`` is the least multiple of 8 above ``n``'s bit length: 8 below 128
-    values, 16 below 32,768, 24 below 2**23.  ``unit`` is one shared list at 8 bits, else
-    a ``_Memo``."""
+    Positional codes elsewhere, with ``bits = 0``: value ``i`` of a child sits in lane
+    ``i``, and ``unit(*child)`` gives the code's bytes.  A lane is the least of 1, 2, 4
+    or 8 bytes whose top bit lies above ``top``, packed by one ``struct`` call; past
+    2**63, the least size that holds ``top`` below its top bit."""
     bits = 8 * (n.bit_length() // 8 + 1)
     if low < 0 or top * bits > 64 * n:
-        return None
+        size = next(s for s in (1, 2, 4, 8, top.bit_length() // 8 + 1) if top.bit_length() < 8 * s)
+        if size <= 8:
+            pack = struct.Struct(f"<{n - 1}{'BHIQ'[size.bit_length() - 1]}").pack
+        else:
+            def pack(*child: int) -> bytes:
+                return b"".join(v.to_bytes(size, "little") for v in child)
+        return 0, pack, int.from_bytes((bytes(size - 1) + b"\x80") * (n - 1), "little")
     if bits > 8:
-        return bits, _Memo(bits)
-    while len(_UNIT_8) <= top:  # one list serves all 8-bit codes, grown to the largest top
-        assert len(_UNIT_8) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
-        _UNIT_8.append(((1 << 8 * len(_UNIT_8)) - 1) // 255)
-    return 8, _UNIT_8
+        unit = _Memo(bits)
+    else:
+        while len(_UNIT_8) <= top:  # one list serves all 8-bit codes, grown to the largest top
+            assert len(_UNIT_8) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
+            _UNIT_8.append(((1 << 8 * len(_UNIT_8)) - 1) // 255)
+        unit = _UNIT_8
+    return bits, unit, unit[top] << bits - 1
 
 
 _UNIT_8: list[int] = []  # values up to 8 * 127 = 1016: 1,017 units, about 0.5 MB
@@ -201,36 +205,6 @@ def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | Non
             kept.append(code)
             fronts.append(code | guard)
     return kept
-
-
-def _dominated_filter(
-    sigs: Iterable[Signature], check_time: Callable[[], None] | None = None
-) -> list[Signature]:
-    """Signatures of one length not dominated by another one in the
-    collection, by descending sum, ties ascending; ``check_time``, if given,
-    runs before each candidate is scanned.
-
-    Tuples, as where count codes do not fit (``_units`` is None), are
-    packed by position for ``_scan``: value ``i`` in lane ``i``, the 8-, 16-,
-    32- or 64-bit word of the narrowest size whose top bit, the guard, lies
-    above the largest value (one ``struct`` call); by rank among the distinct
-    values if one lies outside ``[0, 2**63)``.  Sets of 0 or 1 are not packed.
-    """
-    order = sorted(sigs)
-    if len(order) < 2:
-        if order and check_time is not None:
-            check_time()
-        return order
-    lanes = order
-    hi = max(map(itemgetter(-1), order))
-    if order[0][0] < 0 or hi >= 1 << 63:
-        rank = dict(zip(sorted(set(chain.from_iterable(order))), count()))
-        lanes = [tuple(map(rank.__getitem__, c)) for c in order]
-        hi = len(rank) - 1
-    pack, guard = _word_packer(len(order[0]), hi.bit_length())
-    sig_of = dict(zip(map(int.from_bytes, starmap(pack, lanes), repeat("little")), order))
-    kept = sorted(map(sig_of.__getitem__, _scan(sig_of, guard, check_time)))
-    return sorted(kept, key=sum, reverse=True)  # stable: ties stay in ascending order
 
 
 def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
@@ -292,8 +266,8 @@ def _dominators(
 
 
 def _undominated(order: list[Signature], above: list[int]) -> list[Signature]:
-    """The undominated signatures of ``_dominators``' ``(order, above)``: the
-    kept list of ``_dominated_filter``, by descending sum, ties ascending."""
+    """The undominated signatures of ``_dominators``' ``(order, above)``, by
+    descending sum, ties ascending."""
     kept = sorted(c for c, up in zip(order, above) if not up)
     return sorted(kept, key=sum, reverse=True)  # stable: ties stay ascending
 
@@ -338,28 +312,29 @@ def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
 
 
 def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]],
-            units: tuple[int, list[int] | _Memo] | None,
+            units: tuple[int, list[int] | _Memo | Callable, int],
             scan: bool = True) -> tuple[dict, int, int]:
     """``(children, negatives, dominated)``: the undominated non-negative
     children of ``a`` over ``pairs``, each with the ``(i, j, omega, cap)`` of
     its first pair, for ``_child``; the pairs that give a negative child; the
     distinct children a sibling dominates.  Without ``scan``, every distinct
     non-negative child, in the order of first generation, and 0 dominated.
-    With ``units = (bits, unit)``, a child is its count code, ``((code -
+    A child is the code that ``units = (bits, unit, guard)`` picks, and
+    ``_scan`` filters the codes with ``guard`` (a level's: its lanes past
+    ``a[-1]`` are 0 in every child of ``a``).  A count code is ``((code -
     unit[lo] - unit[hi]) & (1 << bits * min(cap, a[-1])) - 1) + unit[w]`` for
     ``lo <= hi`` and ``a``'s code ``code = sum(unit[v] for v in a)`` (the cut
-    clears the lanes past ``cap``), and ``_scan`` filters them with the guard
-    ``unit[a[-1]] << bits - 1``, the top bit of each lane.
+    clears the lanes past ``cap``).  A positional code packs the ``_child``
+    tuple, once it is known to be non-negative.
     Pairs of equal values give equal children, so each distinct value pair is
     reduced once; the repeats of a negative one still count as negatives.
     """
     n = len(a)
-    cands: dict = {}
+    cands: dict[int, tuple[int, int, int, int]] = {}
     negative_of: dict[tuple[int, int], bool] = {}
     negatives = 0
-    if units is not None:
-        bits, unit = units
-        code, top = sum(map(unit.__getitem__, a)), a[-1]
+    bits, unit, guard = units
+    code, top = sum(map(unit.__getitem__, a)) if bits else 0, a[-1]
     for i, j in pairs:
         lo, hi = a[i], a[j]
         negative = negative_of.get((lo, hi))
@@ -370,22 +345,24 @@ def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]],
             if n == 2:  # the singleton is cut to min(w + k - 1, 0)
                 cap = min(cap, 0)
                 w = min(w, cap)
-            if units is None:
-                child = _child(a, i, j, w, cap)
-                negative = child[0] < 0
-            else:
+            if bits:
                 negative = w < 0
                 if not negative:
                     cut = (1 << bits * (cap if cap < top else top)) - 1
                     child = ((code - unit[lo] - unit[hi]) & cut) + unit[w]
                     assert child.bit_length() <= bits * cap
+            else:
+                child = _child(a, i, j, w, cap)
+                negative = child[0] < 0
+                if not negative:
+                    child = int.from_bytes(unit(*child), "little")
             negative_of[lo, hi] = negative
             if not negative and child not in cands:
                 cands[child] = (i, j, w, cap)
         negatives += negative
     if not scan:
         return cands, negatives, 0
-    kept = _dominated_filter(cands) if units is None else _scan(cands, unit[top] << bits - 1)
+    kept = _scan(cands, guard)
     assert len(kept) <= k * (len(a) - 1)
     return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
 
@@ -477,23 +454,22 @@ def _expand_level(
     k: int, z: int, parents: list[tuple[LeafSignature, float]], prune: bool,
     check_time: Callable[[], None] | None,
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
-    """``_run_levels``' step to length ``z``: every parent's children
-    (``_expand``'s count codes, or tuples where ``_units`` is None), then,
-    if ``prune``, the level-wide domination.  From ``_FUSED_MIN_PARENTS``
-    parents on, a pruned level reads both off one ``_dominators`` pass over
-    the union of all children (lanes: 8-bit codes' bytes, else tuples);
+    """``_run_levels``' step to length ``z``: every parent's children, in the
+    one code that ``_units`` picks for the level, then, if ``prune``, the
+    level-wide domination.  From ``_FUSED_MIN_PARENTS`` parents on, a pruned
+    level reads both off one ``_dominators`` pass over the union of all
+    children (lanes: 8-bit count codes' bytes, else ``_child`` tuples);
     narrower levels scan.  A child is dominated within its parent iff a
     sibling dominates it.  What a parent drops has a dominator that it keeps,
     so all children and the kept ones have the same survivors; a survivor is
     kept by every parent generating it, so its first derivation is the one of
-    the per-parent scans.  Coded survivors are built by ``_child``; all go in
-    ``_dominated_filter``'s order.
+    the per-parent scans.  Survivors are built by ``_child``, by descending
+    sum, ties ascending (unpruned: by parent, then ascending).
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     top = max(a[-1] for a, _ in parents)
-    units = _units(z + 1, 0, top)
-    bits, unit = units or (0, [])
-    merged = {}  # child code (or tuple) -> (parent, parent_l, provenance) of first derivation
+    bits, _, guard = units = _units(z + 1, 0, top)
+    merged = {}  # child code -> (parent, parent_l, provenance) of first derivation
     groups = []  # every parent's children, when fused
     pairs = negatives = dominated = 0
     for a, parent_l in parents:
@@ -510,13 +486,11 @@ def _expand_level(
         if fused:
             groups.append(list(children))
     if not fused:
-        kept = (list(merged) if not prune
-                else _dominated_filter(merged, check_time) if units is None
-                else _scan(merged, unit[top] << bits - 1, check_time))
+        kept = _scan(merged, guard, check_time) if prune else list(merged)
         dropped_level = len(merged) - len(kept)
     else:
-        lanes = (list(merged) if units is None else [c.to_bytes(top, "little") for c in merged]
-                 if bits == 8 else [_child(a, *p) for a, _, p in merged.values()])
+        lanes = ([c.to_bytes(top, "little") for c in merged] if bits == 8
+                 else [_child(a, *p) for a, _, p in merged.values()])
         order, above = _dominators(lanes, check_time)
         index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
         some_kept: set[int] = set()  # bits of children a parent keeps
@@ -534,7 +508,7 @@ def _expand_level(
     built = {}
     for c in kept:
         a, parent_l, provenance = derivation = merged[c]
-        child = c if units is None else _child(a, *provenance)
+        child = _child(a, *provenance)
         assert child[-1] <= parent_l + k - 1  # as in _generate
         built[child] = derivation
     kept = sorted(built)  # unpruned: by (sorted) parent, then ascending

@@ -128,7 +128,7 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     root = TreeNode(0, 0, leaf_label=singleton[0])
     leaves = [root]
     next_id = 1
-    for rec in reversed(chain):
+    for at, rec in reversed(list(enumerate(chain))):
         labels = sorted(leaf.leaf_label for leaf in leaves)
         if labels != list(rec.child):
             raise ValueError(
@@ -136,8 +136,10 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
             )
         grow = min(
             (leaf for leaf in leaves if leaf.leaf_label == rec.omega),
-            key=lambda leaf: (leaf.depth, leaf.node_id),
+            key=lambda leaf: (leaf.depth, leaf.node_id), default=None,
         )
+        if grow is None:
+            raise ValueError(f"witness record {at} inserts {rec.omega}, which is on no leaf")
         a, b = child_edge_lengths(k, grow.depth, rec.merged_lo, rec.merged_hi)
         lo = TreeNode(next_id, grow.depth + a, leaf_label=rec.merged_lo)
         hi = TreeNode(next_id + 1, grow.depth + b, leaf_label=rec.merged_hi)
@@ -147,8 +149,12 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
 
         rest = [leaf for leaf in leaves if leaf is not grow]
         targets = list(rec.parent)
-        targets.remove(rec.merged_lo)
-        targets.remove(rec.merged_hi)
+        try:
+            targets.remove(rec.merged_lo)
+            targets.remove(rec.merged_hi)
+        except ValueError:
+            raise ValueError(f"witness record {at} merges {rec.merged_lo} and {rec.merged_hi}, "
+                             "which are not both in its parent") from None
         rest.sort(key=lambda leaf: (leaf.leaf_label, leaf.node_id))
         for leaf, label in zip(rest, sorted(targets)):
             if leaf.leaf_label > label:  # labels only grow, even under -O

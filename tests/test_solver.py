@@ -24,7 +24,6 @@ from splittree.solver import (
     SolverConfig,
     SolverStats,
     _FUSED_MIN_PARENTS,
-    _dominated_filter,
     _dominators,
     _expand_level,
     _generate,
@@ -59,23 +58,29 @@ def per_pair_generate(k, sig, pairs, parent_l):
             continue
         l_value = min(parent_l, inserted)
         cands.setdefault(child, MergeRecord(sig, sig[i], sig[j], inserted, cap, child, l_value))
-    kept = _dominated_filter(cands)
+    kept = _undominated(*_dominators(cands))
     stats.pruned_dominated = len(cands) - len(kept)
     return [cands[c] for c in sorted(kept)], stats
 
 
 def search_digest():
     """sha256 over ``decide`` and ``trace_levels`` on the reference instance
-    (with and without level-wide pruning), a ``k=2`` chain of 200 bounds and
-    a narrow-window ``k=10`` instance whose levels reach the bit-mask filter:
-    verdicts, witness chains, counters without the wall time, and every
-    level's signatures and records in order."""
+    (with and without level-wide pruning), a ``k=2`` chain of 200 bounds, a
+    narrow-window ``k=10`` instance whose levels reach the bit-mask filter, a
+    ``k=48`` instance on positional codes of 2-byte lanes whose levels reach
+    it too, with values on both sides of 256, and a ``k = 2**64 + 3``
+    instance whose levels hold values past 2**63: verdicts, witness chains,
+    counters without the wall time, and every level's signatures and records
+    in order."""
     rng = random.Random(1)
     instances = [
         (REFERENCE_K, REFERENCE_DEPTHS, SolverConfig()),
         (REFERENCE_K, REFERENCE_DEPTHS, SolverConfig(prune_level_domination=False)),
         (2, [rng.randint(0, 199) for _ in range(200)], SolverConfig()),
         (10, [13, 16, 18, 18, 18, 12, 14, 12, 15, 18, 15, 15, 17, 15], SolverConfig()),
+        (48, [235, 419, 287, 336, 303, 278, 331, 272, 250, 267], SolverConfig()),
+        (2**64 + 3, [10039257264037515410, 53789687683843711396, 48435990406998233758,
+                     11171339666664619993], SolverConfig()),
     ]
     digest = hashlib.sha256()
     for k, depths, config in instances:
@@ -166,11 +171,15 @@ class TestGenerators:
         # k = 10 make the levels blow up)
         recs = generate_children_fast(10, canonicalize([1016] * 127))
         assert [r.child for r in recs] == [(1011,) + (1016,) * 125]
-        bits, unit = _units(127, 0, 1016)
+        bits, unit, _ = _units(127, 0, 1016)
         assert bits == 8 and unit is _units(2, 0, 0)[1]
+        # a parent of 128 values counts up to 128 in a lane, past 8-bit codes
+        # whatever its top: up to 1,024 it takes positional codes
+        assert [r.child for r in generate_children_fast(10, canonicalize([1024] * 128))] == [
+            (1019,) + (1024,) * 126]
         assert len(unit) == 1017  # of the 1,024 that values below 1024 could take
         assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
-        assert _units(127, 0, 1017) is None
+        assert _units(127, 0, 1017)[0] == 0  # positional codes
 
     def test_early_exit_keeps_counters_and_records(self):
         # reference scan: every partner j of i, one pair per (i, omega) class
@@ -217,8 +226,8 @@ class TestGenerators:
             assert stats == expected_stats, (k, sig)
             assert _pairs(k, sig) == pairs, (k, sig)
             assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
-            if sig[0] < 0:  # no dense count codes: the tuple children, for every pair too
-                assert _units(len(sig), sig[0], sig[-1]) is None
+            if sig[0] < 0:  # positional codes, which hold no negative child; every pair too
+                assert _units(len(sig), sig[0], sig[-1])[0] == 0
                 every = [(i, j) for i in range(len(sig) - 1) for j in range(i + 1, len(sig))]
                 naive_stats = SolverStats()
                 naive = generate_children_naive(k, sig, parent_l, naive_stats)
@@ -250,9 +259,9 @@ class TestDominatedFilter:
                 cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
                 sigs.add(canonicalize(b - a for a, b in zip([0, *cuts], [*cuts, total])))
             yield sorted(sigs)
-        # for count codes: M = 0, all values equal, values at M, and 127 or
-        # 128 values, where the lanes widen from 8 to 16 bits; a signature
-        # from 1 up holds all of its values in lane 1
+        # for count codes: M = 0, all values equal, values at M, and children
+        # of 64, 127 or 128 values (lanes widen from 8 to 16 bits at parents of
+        # 128); a signature from 1 up holds all of its values in lane 1
         for n in (1, 2, 5):
             yield [canonicalize([0] * n)]
             yield [canonicalize([v] * n) for v in range(4)]
@@ -265,22 +274,6 @@ class TestDominatedFilter:
                         sigs.add(canonicalize([top] * at_top + [rng.randint(low, top)
                                                                 for _ in range(n - at_top)]))
                     yield sorted(sigs)
-
-    def test_matches_brute_force_maximal_set(self):
-        for sigs in self.seeded_sets():
-            calls = []
-            kept = _dominated_filter(sigs, lambda: calls.append(None))
-            assert kept == self.maximal(sigs), sigs
-            assert len(calls) == len(sigs)
-            # the level step's dense count codes, on the values themselves
-            top = max((s[-1] for s in sigs), default=0)
-            units = _units(len(sigs[0]), sigs[0][0], top) if sigs else None
-            if units is not None:
-                bits, unit = units
-                sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
-                assert len(sig_of) == len(sigs), sigs
-                kept = map(sig_of.__getitem__, _scan(sig_of, unit[top] << bits - 1))
-                assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
 
     @staticmethod
     def word_limit_sets():
@@ -299,18 +292,23 @@ class TestDominatedFilter:
                 yield sorted(canonicalize(v - hi // 2 for v in s) for s in sigs)
                 yield [max(sigs)]
 
-    @staticmethod
-    def rank_lanes(sigs):
-        """The filter on value ranks: moving every value down by 2**64 keeps
-        domination and the presort order but rules the raw-value words out."""
-        down = _dominated_filter([canonicalize(v - 2**64 for v in s) for s in sigs])
-        return [canonicalize(v + 2**64 for v in s) for s in down]
-
-    def test_word_lanes_match_rank_lanes(self):
+    def test_matches_brute_force_maximal_set(self):
+        # every non-negative set, as a level of children of its length in the
+        # code that _units picks for that level (count or positional), through
+        # _scan; no code holds a negative value
         for sigs in itertools.chain(self.word_limit_sets(), self.seeded_sets()):
+            if not sigs or sigs[0][0] < 0:
+                continue
+            top = max(s[-1] for s in sigs)
+            bits, unit, guard = _units(len(sigs[0]) + 1, 0, top)
+            if bits:
+                sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
+            else:
+                sig_of = {int.from_bytes(unit(*s), "little"): s for s in sigs}
+            assert len(sig_of) == len(sigs), sigs
             calls = []
-            kept = _dominated_filter(sigs, lambda: calls.append(None))
-            assert kept == self.maximal(sigs) == self.rank_lanes(sigs), sigs
+            kept = map(sig_of.__getitem__, _scan(sig_of, guard, lambda: calls.append(None)))
+            assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
             assert len(calls) == len(sigs)
 
 
@@ -346,7 +344,7 @@ class TestDominators:
             calls = []
             # reversed: ties of equal sum reach the masks in descending order
             kept = _undominated(*_dominators(sigs[::-1], lambda: calls.append(None)))
-            assert kept == _dominated_filter(sigs) == TestDominatedFilter.maximal(sigs), sigs
+            assert kept == TestDominatedFilter.maximal(sigs), sigs
             columns = sum(len(set(lane)) > 1 for lane in zip(*sigs))
             assert len(calls) == len(sigs) + columns
         one = canonicalize([3, 5])
@@ -354,14 +352,15 @@ class TestDominators:
         assert _dominators([one]) == ([one], [0])
 
     def test_matches_scan_on_unpruned_levels(self):
-        # prune_level reads the masks at every size; its records keep the scan's order
+        # prune_level reads the masks at every size; its records keep the order
+        # of the brute-force maximal set
         rng = random.Random(23)
         no_prune = SolverConfig(prune_level_domination=False)
         for _ in range(12):
             k, n = rng.randint(2, 10), rng.randint(2, 10)
             depths = [rng.randint(0, 2 + n * k // 3) for _ in range(n)]
             for level in trace_levels(k, depths, no_prune):
-                kept = _dominated_filter(level.signatures)
+                kept = TestDominatedFilter.maximal(level.signatures)
                 pruned = prune_level(level)
                 assert pruned.signatures == frozenset(kept)
                 assert list(pruned.record_of) == [s for s in kept if s in level.record_of]
@@ -625,6 +624,8 @@ class TestDecide:
                               capture_output=True, text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", search_digest()]
+        # the outputs of commit 8a37f54, before positional codes
+        assert search_digest() == "68c1d68de5c2ae8aef87e79e828dea796631213428cb6dfcd8c6bd53e4f16255"
 
     @pytest.mark.parametrize(
         "k,depths,expected",
@@ -650,20 +651,24 @@ class TestDecide:
             decide(0, [3])
 
     def test_huge_k_matches_recursive_oracle(self, monkeypatch):
-        # values past 2**63 are too large for dense count codes: the level
-        # step keeps tuple children, which the scan packs by rank.  A count
-        # code of them would not fit in memory, so being offered one fails here
+        # values past 2**63 are too large for count codes: the level step takes
+        # positional codes, whose lanes grow past 8 bytes.  A count code of
+        # them would not fit in memory, so being offered one fails here
         def units(n, low, top):
-            assert _units(n, low, top) is None, (n, low, top)
+            picked = _units(n, low, top)
+            assert picked[0] == 0, (n, low, top)
+            return picked
 
-        scanned = []
+        past = []  # per scan: the codes whose largest value is 2**63 or more
 
-        def dominated_filter(sigs, check_time=None):
-            scanned.append(len(sigs))
-            return _dominated_filter(sigs, check_time)
+        def scan(codes, guard, check_time=None):
+            codes = list(codes)
+            width = (guard & -guard).bit_length()  # lane bits: the guard is the top one
+            past.append(sum(c >> guard.bit_length() - width >= 2**63 for c in codes))
+            return _scan(codes, guard, check_time)
 
         monkeypatch.setattr("splittree.solver._units", units)
-        monkeypatch.setattr("splittree.solver._dominated_filter", dominated_filter)
+        monkeypatch.setattr("splittree.solver._scan", scan)
         rng = random.Random(31)
         verdicts, crowded = set(), 0
         for _ in range(100):
@@ -677,7 +682,7 @@ class TestDecide:
                 sigs = sorted(level.signatures)
                 assert sorted(TestDominatedFilter.maximal(sigs)) == sigs, (k, depths)
                 crowded += sum(s[-1] >= 2**63 for s in sigs) >= 2
-        assert verdicts == {True, False} and crowded and max(scanned) >= 2
+        assert verdicts == {True, False} and crowded and max(past) >= 2
 
     def test_witness_chain_links_up(self):
         decision = decide(REFERENCE_K, REFERENCE_DEPTHS)

@@ -296,6 +296,28 @@ class TestReconstruct:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("ValueError:"), proc.stdout
 
+    @pytest.mark.parametrize("forged, message", [
+        ("omega=5", "witness record 0 inserts 5, which is on no leaf"),
+        ("merged_hi=2", "witness record 0 merges 1 and 2, which are not both in its parent"),
+    ], ids=["inserted-on-no-leaf", "merged-not-in-parent"])
+    def test_names_forged_record_under_optimize(self, forged, message):
+        # decide(2, [1, 1])'s one record with its inserted value on no leaf, or
+        # with a merged value that is not in its parent
+        script = (
+            "from splittree.solver import decide\n"
+            "from splittree.treebuild import reconstruct\n"
+            "(rec,) = decide(2, [1, 1]).witness_chain\n"
+            "try:\n"
+            f"    reconstruct(2, [1, 1], [rec._replace({forged})])\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"ValueError: {message}\n"
+
 
 class TestExport:
     def test_deep_tree_json_raises_limit_error(self):
