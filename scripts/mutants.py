@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
-CODES_TEST = SOLVER + "TestDominatedFilter::test_matches_brute_force_maximal_set"
+WORD_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 HUGE_K_TEST = SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
 CROWDED_TEST = SOLVER + "TestFusedLevels::test_crowded_lanes_match_scans"
@@ -87,9 +87,9 @@ MUTANTS = [
     # positional codes: a lane one size too narrow, a guard one bit low, and
     # positional codes read as byte lanes in the fused tail
     ("packer-narrow-word", "solver.py", "if top.bit_length() < 8 * s)",
-     "if top.bit_length() <= 8 * s)", [CODES_TEST]),
+     "if top.bit_length() <= 8 * s)", [WORD_TEST]),
     ("packer-low-guard", "solver.py", 'bytes(size - 1) + b"\\x80"', 'bytes(size - 1) + b"\\x40"',
-     [CODES_TEST]),
+     [WORD_TEST]),
     ("positional-byte-lanes", "solver.py", "if bits == 8", "if bits != 16",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # per-parent domination read off the level-wide masks

@@ -292,24 +292,42 @@ class TestDominatedFilter:
                 yield sorted(canonicalize(v - hi // 2 for v in s) for s in sigs)
                 yield [max(sigs)]
 
+    @staticmethod
+    def scanned(sigs):
+        """A non-empty, non-negative set as a level of children of its length,
+        in the code that ``_units`` picks for that level (count or positional),
+        through ``_scan``: the kept signatures, sum-descending."""
+        top = max(s[-1] for s in sigs)
+        bits, unit, guard = _units(len(sigs[0]) + 1, 0, top)
+        if bits:
+            sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
+        else:
+            sig_of = {int.from_bytes(unit(*s), "little"): s for s in sigs}
+        assert len(sig_of) == len(sigs), sigs
+        calls = []
+        kept = map(sig_of.__getitem__, _scan(sig_of, guard, lambda: calls.append(None)))
+        kept = sorted(kept, key=lambda s: (-sum(s), s))
+        assert len(calls) == len(sigs)
+        return kept
+
     def test_matches_brute_force_maximal_set(self):
-        # every non-negative set, as a level of children of its length in the
-        # code that _units picks for that level (count or positional), through
-        # _scan; no code holds a negative value
-        for sigs in itertools.chain(self.word_limit_sets(), self.seeded_sets()):
+        # every non-empty, non-negative seeded set; no code holds a negative value
+        for sigs in self.seeded_sets():
+            if sigs and sigs[0][0] >= 0:
+                assert self.scanned(sigs) == self.maximal(sigs), sigs
+
+    def test_word_lanes_match_rank_lanes(self):
+        # the word-limit sets on their values (lanes of 1 to 8 bytes or wider,
+        # or count codes) and on their values' ranks, which keep domination
+        for sigs in self.word_limit_sets():
             if not sigs or sigs[0][0] < 0:
                 continue
-            top = max(s[-1] for s in sigs)
-            bits, unit, guard = _units(len(sigs[0]) + 1, 0, top)
-            if bits:
-                sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
-            else:
-                sig_of = {int.from_bytes(unit(*s), "little"): s for s in sigs}
-            assert len(sig_of) == len(sigs), sigs
-            calls = []
-            kept = map(sig_of.__getitem__, _scan(sig_of, guard, lambda: calls.append(None)))
-            assert sorted(kept, key=lambda s: (-sum(s), s)) == self.maximal(sigs), sigs
-            assert len(calls) == len(sigs)
+            rank = {v: r for r, v in enumerate(sorted({v for s in sigs for v in s}))}
+            ranked = [canonicalize(map(rank.__getitem__, s)) for s in sigs]
+            kept = self.scanned(sigs)
+            assert kept == self.maximal(sigs), sigs
+            assert sorted(canonicalize(map(rank.__getitem__, s)) for s in kept) == sorted(
+                self.scanned(ranked)), sigs
 
 
 class TestDominators:
