@@ -53,7 +53,7 @@ MUTANTS = [
      "deepest = sys.getrecursionlimit() - 11",
      [TREEBUILD + "test_json_matches_reference_on_caterpillars"]),
     ("writer-unchecked", "treebuild.py", "return int.__repr__(_integer(value, name))",
-     "return json.dumps(value)", [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
+     'return __import__("json").dumps(value)', [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
     # the reduction step: solver._expand's merge value and cap, solver._child's slices
     ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),
     ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
@@ -103,7 +103,7 @@ MUTANTS = [
      '[c.to_bytes(2 * top, "little") for c in merged]', [CROWDED_TEST]),
     ("dominators-lowest-only", "solver.py", "above.append(dominators)",
      "above.append(dominators & -dominators)", [FUSED_TEST]),
-    # the level-wide masks built from byte strings, and the kept lists' order
+    # the one mask step on tuple lanes' ranks, and the kept lists' order
     ("masks-threshold-off-by-one", "solver.py", 'b"0" * r + b"1" * (256 - r)',
      'b"0" * (r + 1) + b"1" * (255 - r)', [LEVEL_TEST]),
     ("masks-bit-order-reversed", "solver.py", "rank.__getitem__, reversed(lane)",
@@ -113,6 +113,13 @@ MUTANTS = [
     ("masks-rank-past-255", "solver.py", "len(values) > 256", "len(values) > 257",
      [LEVEL_TEST]),
     ("masks-loop-bit-shifted", "solver.py", "ge[v] |= 1 << b", "ge[v] |= 2 << b", [LEVEL_TEST]),
+    # 8-bit count codes' lanes, read as strided slices of one byte matrix
+    ("masks-bytes-threshold-off-by-one", "solver.py", "zip(values, values)",
+     "zip(values, [v + 1 for v in values])", [LEVEL_TEST]),
+    ("masks-bytes-not-reversed", "solver.py", "coded, ranks = lane[::-1]", "coded, ranks = lane",
+     [LEVEL_TEST]),
+    ("masks-matrix-stride", "solver.py", "matrix[t::width]", "matrix[t::width + 1]",
+     [LEVEL_TEST]),
     ("undominated-unsorted", "solver.py", "kept = sorted(c for c, up in zip(order, above)",
      "kept = list(c for c, up in zip(order, above)",
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),

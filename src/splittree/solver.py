@@ -13,8 +13,8 @@ every child is one integer, in the code that ``_units`` picks once per level:
 its count code, the sum of its values' lane units (at 8 bits off one shared
 list), or, where a value is negative or ``M * bits > 64 * n``, its positional
 code, value ``i`` in lane ``i``.  Only survivors are built as tuples.  A pass
-over a whole level's union reads ``_dominators``' masks; every other pass is
-``_scan``.
+over a whole level's union reads ``_dominators``' masks, one mask step over
+lanes of tuples or strided slices of 8-bit codes' bytes; every other pass scans.
 """
 
 from __future__ import annotations
@@ -207,16 +207,16 @@ def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | Non
     return kept
 
 
-def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
+def _ge_masks(lane: bytes | tuple[int, ...], values: list[int]) -> dict[int, int]:
     """``{v: mask}`` for one lane of ``_dominators``' order, ``values`` its
-    distinct values ascending: bit ``b`` of ``v``'s mask is set iff
-    ``lane[b] >= v``.
+    distinct values ascending: bit ``b`` of ``v``'s mask is set iff ``lane[b] >= v``.
 
-    Up to 256 values, the lane is coded as one byte per signature, the rank
-    of its value among ``values``, last bit first, as ``int(..., 2)`` reads
-    the first character as the highest bit; ``translate`` turns the bytes
-    into the mask of each rank ``r`` in C.  Lanes of more values OR each bit
-    into its value's mask, then OR the masks from the top value down.
+    The one mask step codes the lane as one byte per signature, last bit first, as
+    ``int(..., 2)`` reads the first character as the highest bit; one ``translate``
+    per value turns the bytes ``>= r`` into that mask in C.  A byte lane is its own
+    code, ``r = v``; a tuple lane of up to 256 values is coded by the rank ``r`` of
+    ``v``.  Lanes of more values OR each bit into its value's mask, then OR the
+    masks from the top value down.
     """
     if len(values) > 256:
         ge = dict.fromkeys(values, 0)
@@ -224,9 +224,12 @@ def _ge_masks(lane: tuple[int, ...], values: list[int]) -> dict[int, int]:
             ge[v] |= 1 << b
         down = values[::-1]
         return dict(zip(down, accumulate(map(ge.__getitem__, down), or_)))
-    rank = dict(zip(values, count()))
-    coded = bytes(map(rank.__getitem__, reversed(lane)))
-    return {v: int(coded.translate(b"0" * r + b"1" * (256 - r)), 2) for v, r in rank.items()}
+    if isinstance(lane, bytes):
+        coded, ranks = lane[::-1], zip(values, values)
+    else:
+        rank = dict(zip(values, count()))
+        coded, ranks = bytes(map(rank.__getitem__, reversed(lane))), rank.items()
+    return {v: int(coded.translate(b"0" * r + b"1" * (256 - r)), 2) for v, r in ranks}
 
 
 def _dominators(
@@ -242,11 +245,16 @@ def _dominators(
     value there is ``>= v``.  The AND of these masks at ``c``'s values holds
     ``c`` and its dominators, whose strictly larger sums give lower bits, so
     ``above[b]`` is that AND below bit ``b``.  Lanes of one value throughout
-    are skipped.
+    are skipped.  Tuple lanes come from ``zip``; 8-bit count codes' bytes are
+    joined once, in ``order``, and lane ``t`` is the strided slice of that matrix.
     """
     order = sorted(sigs, key=sum, reverse=True)
+    lanes = zip(*order)
+    if order and isinstance(order[0], bytes):  # lane t: a strided slice of one matrix
+        width, matrix = len(order[0]), b"".join(order)
+        lanes = (matrix[t::width] for t in range(width))
     columns = []  # per varying lane: the mask at every candidate's value, by bit
-    for lane in zip(*order):
+    for lane in lanes:
         values = sorted(set(lane))
         if len(values) > 1:
             if check_time is not None:
@@ -457,9 +465,9 @@ def _expand_level(
     """``_run_levels``' step to length ``z``: every parent's children, in the
     one code that ``_units`` picks for the level, then, if ``prune``, the
     level-wide domination.  From ``_FUSED_MIN_PARENTS`` parents on, a pruned
-    level reads both off one ``_dominators`` pass over the union of all
-    children (lanes: 8-bit count codes' bytes, else ``_child`` tuples);
-    narrower levels scan.  A child is dominated within its parent iff a
+    level reads both off one ``_dominators`` pass over the union of all children
+    (8-bit count codes' bytes, read there as one byte matrix, else ``_child``
+    tuples); narrower levels scan.  A child is dominated within its parent iff a
     sibling dominates it.  What a parent drops has a dominator that it keeps,
     so all children and the kept ones have the same survivors; a survivor is
     kept by every parent generating it, so its first derivation is the one of

@@ -85,7 +85,7 @@ LOADED_BY_EVERY_COMMAND = {"splittree", "splittree.cli", "splittree.errors",
     (["decide", "--format", "json"], set(), True),
     (["trace"], set(), False),
     (["trace", "--format", "json"], set(), True),
-    (["build", "--format", "dot"], {"splittree.treebuild"}, True),
+    (["build", "--format", "dot"], {"splittree.treebuild"}, False),
     (["oracle"], {"splittree.oracle"}, False),
     (["selftest", "--max-n", "2", "--max-value", "3", "--ks", "2,3"], {"splittree.oracle"},
      False),

@@ -355,19 +355,62 @@ class TestDominators:
                                             base + 4 * distinct + rng.randrange(3)])
                               for i in range(distinct) for _ in range(2)})
 
+    @staticmethod
+    def crowded_lane_sets():
+        # children of 100 or 126 values, most of them at the top, so that lane
+        # counts reach 64 and more; lane 1 holds one value throughout when no
+        # child holds a 0
+        rng = random.Random(19)
+        for n in (100, 126):
+            for top in (1, 3, 9):
+                for size in (2, 10, 60):
+                    low = rng.randint(0, 1)
+                    yield sorted({canonicalize([top] * (at := rng.randint(n // 2, n))
+                                               + [rng.randint(low, top) for _ in range(n - at)])
+                                  for _ in range(size)})
+
+    @staticmethod
+    def count_coded(sigs):
+        """The set's children as ``_expand_level`` hands them to ``_dominators``
+        on 8-bit count codes, each code's ``to_bytes``; None where ``_units``
+        picks another code."""
+        if not sigs:
+            return []
+        if min(s[0] for s in sigs) < 0:
+            return None
+        top = max(s[-1] for s in sigs)
+        bits, unit, _ = _units(len(sigs[0]) + 1, 0, top)
+        if bits != 8:
+            return None
+        return [sum(map(unit.__getitem__, s)).to_bytes(top, "little") for s in sigs]
+
     def test_matches_scan_and_brute_force(self):
         sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets(),
-                               TestDominatedFilter.word_limit_sets(), self.wide_lane_sets())
+                               TestDominatedFilter.word_limit_sets(), self.wide_lane_sets(),
+                               self.crowded_lane_sets())
+        byte_sets = 0
         for sigs in sets:
-            calls = []
-            # reversed: ties of equal sum reach the masks in descending order
-            kept = _undominated(*_dominators(sigs[::-1], lambda: calls.append(None)))
-            assert kept == TestDominatedFilter.maximal(sigs), sigs
-            columns = sum(len(set(lane)) > 1 for lane in zip(*sigs))
-            assert len(calls) == len(sigs) + columns
+            # each set as value tuples and, where they fit, as 8-bit count codes'
+            # bytes in the same order: both lane kinds give the same masks
+            codes = self.count_coded(sigs)
+            results = []
+            for lanes in (sigs, codes) if codes is not None else (sigs,):
+                sig_of = dict(zip(lanes, sigs))
+                calls = []
+                # reversed: ties of equal sum reach the masks in descending order
+                order, above = _dominators(lanes[::-1], lambda: calls.append(None))
+                order = list(map(sig_of.__getitem__, order))
+                assert _undominated(order, above) == TestDominatedFilter.maximal(sigs), sigs
+                columns = sum(len(set(lane)) > 1 for lane in zip(*lanes))
+                assert len(calls) == len(sigs) + columns
+                results.append((order, above))
+            assert results[0] == results[-1], sigs
+            byte_sets += len(results) - 1
+        assert byte_sets > 200
         one = canonicalize([3, 5])
         assert _dominators([]) == ([], [])
         assert _dominators([one]) == ([one], [0])
+        assert _dominators([b"\x02\x01"]) == ([b"\x02\x01"], [0])
 
     def test_matches_scan_on_unpruned_levels(self):
         # prune_level reads the masks at every size; its records keep the order
