@@ -101,8 +101,15 @@ MUTANTS = [
      [FUSED_TEST]),
     ("fused-16bit-byte-lanes", "solver.py", "[_child(a, *p) for a, _, p in merged.values()]",
      '[c.to_bytes(2 * top, "little") for c in merged]', [CROWDED_TEST]),
-    ("dominators-lowest-only", "solver.py", "above.append(dominators)",
-     "above.append(dominators & -dominators)", [FUSED_TEST]),
+    ("dominators-lowest-only", "solver.py", "return order, above",
+     "return order, [up & -up for up in above]", [FUSED_TEST]),
+    # the AND runs lane by lane, only where a value differs from the lane before
+    ("dominators-pick-equal", "solver.py", "map(ne, lane, previous)",
+     "map(int.__eq__, lane, previous)", [LEVEL_TEST]),
+    ("dominators-count-lanes-upward", "solver.py", "for t in reversed(range(width))",
+     "for t in range(width)", [LEVEL_TEST]),
+    ("dominators-first-lane-none", "solver.py", "changed = range(n)", "changed = ()",
+     [LEVEL_TEST]),
     # the one mask step on tuple lanes' ranks, and the kept lists' order
     ("masks-threshold-off-by-one", "solver.py", 'b"0" * r + b"1" * (256 - r)',
      'b"0" * (r + 1) + b"1" * (255 - r)', [LEVEL_TEST]),

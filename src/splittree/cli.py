@@ -2,14 +2,16 @@
 
 Subcommands: decide, build, trace, oracle, selftest.  Exit codes are part
 of the contract: 0 realizable / success, 1 unrealizable, 2 invalid input,
-3 resource limit hit, 4 I/O failure, 5 selftest disagreement.
+3 resource limit hit, 4 I/O failure, 5 selftest disagreement or a built
+tree that fails validation.
 
 Stdout for identical inputs is byte-identical; the only non-deterministic
 quantity (wall time) goes to stderr.
 
 Importing this module loads only ``errors``, ``signature`` and ``solver``:
 ``build`` imports ``treebuild``, ``oracle`` and ``selftest`` import
-``oracle``, and the JSON formats import ``json``, each when it runs.
+``oracle``, and the JSON formats of ``decide`` and ``trace`` import ``json``,
+each when it runs.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     tree = reconstruct(k, depths, decision.witness_chain)
     report = validate(k, tree, depths)
     if not report.valid:
-        raise AssertionError(f"built tree fails validation: {report.violations}")
+        print(f"built tree fails validation: {report.violations}", file=sys.stderr)
+        return EXIT_DISAGREE
     _emit(export_tree(tree, args.format) + ("\n" if args.format == "json" else ""), args.out)
     return EXIT_REALIZABLE
 

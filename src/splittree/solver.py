@@ -13,8 +13,8 @@ every child is one integer, in the code that ``_units`` picks once per level:
 its count code, the sum of its values' lane units (at 8 bits off one shared
 list), or, where a value is negative or ``M * bits > 64 * n``, its positional
 code, value ``i`` in lane ``i``.  Only survivors are built as tuples.  A pass
-over a whole level's union reads ``_dominators``' masks, one mask step over
-lanes of tuples or strided slices of 8-bit codes' bytes; every other pass scans.
+over a whole level's union reads ``_dominators``' masks, one mask step per lane
+of tuples or 8-bit codes' bytes, ANDed where a value changes; every other pass scans.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 import struct
 import time
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, count
-from operator import or_
+from itertools import accumulate, compress, count
+from operator import ne, or_
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -239,37 +239,47 @@ def _dominators(
     that see a whole level's union of children (the scan serves all others):
     ``order`` holds them by descending sum, ties in input order, and bit
     ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
-    One ``check_time`` call per mask column, then one per signature.
+    One ``check_time`` call per varying lane, then one per signature.
 
     Per varying lane, ``_ge_masks`` gives the mask of the signatures whose
     value there is ``>= v``.  The AND of these masks at ``c``'s values holds
     ``c`` and its dominators, whose strictly larger sums give lower bits, so
     ``above[b]`` is that AND below bit ``b``.  Lanes of one value throughout
-    are skipped.  Tuple lanes come from ``zip``; 8-bit count codes' bytes are
-    joined once, in ``order``, and lane ``t`` is the strided slice of that matrix.
+    are skipped.  The AND runs lane by lane: the first lane visited takes every
+    signature, a later one only those whose value differs from the adjacent lane
+    visited before it (skipped or not), where that lane's test does not imply
+    this one's.  Tuple lanes come from ``zip``, each value at most the next;
+    8-bit count codes' bytes are joined once, in ``order``, and lane ``t`` is the
+    strided slice of that matrix, visited top lane first, each count at least
+    the one above it.
     """
     order = sorted(sigs, key=sum, reverse=True)
+    n = len(order)
+    above = [(1 << b) - 1 for b in range(n)]
     lanes = zip(*order)
     if order and isinstance(order[0], bytes):  # lane t: a strided slice of one matrix
         width, matrix = len(order[0]), b"".join(order)
-        lanes = (matrix[t::width] for t in range(width))
-    columns = []  # per varying lane: the mask at every candidate's value, by bit
+        lanes = (matrix[t::width] for t in reversed(range(width)))
+    previous = None  # the lane visited before, constant or not; a byte lane as one int
     for lane in lanes:
         values = sorted(set(lane))
+        current = int.from_bytes(lane, "big") if isinstance(lane, bytes) else lane
         if len(values) > 1:
             if check_time is not None:
                 check_time()
-            columns.append(list(map(_ge_masks(lane, values).__getitem__, lane)))
-    above = []
-    for b in range(len(order)):
-        if check_time is not None:
+            ge = _ge_masks(lane, values)
+            if previous is None:
+                changed = range(n)
+            elif isinstance(lane, bytes):  # the bytes where the two lanes differ are nonzero
+                changed = compress(range(n), (current ^ previous).to_bytes(n, "big"))
+            else:
+                changed = compress(range(n), map(ne, lane, previous))
+            for b in changed:
+                above[b] &= ge[lane[b]]
+        previous = current
+    if check_time is not None:
+        for _ in order:
             check_time()
-        dominators = (1 << b) - 1
-        for column in columns:
-            dominators &= column[b]
-            if not dominators:
-                break
-        above.append(dominators)
     return order, above
 
 

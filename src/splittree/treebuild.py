@@ -347,7 +347,7 @@ def parse_tree(text: str) -> SplitTree:
     too deep for the recursion limit raises LimitError, and unlike in
     ``export_tree`` the frames already on the caller's stack count too.
     """
-    import json  # only here: the writer is hand-rolled, so ``build --format dot`` never loads it
+    import json  # only here: the writer is hand-rolled, so ``build`` never loads it
     try:
         data = json.loads(text)
         return SplitTree(k=_integer(data["k"], "k"), root=_node_from_dict(data["root"]))

@@ -291,7 +291,7 @@ def test_build_refuses_invalid_tree_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
-    assert proc.returncode != 0
+    assert proc.returncode == 5
     assert proc.stdout == ""
     assert "fails validation" in proc.stderr
 

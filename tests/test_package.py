@@ -89,6 +89,7 @@ LOADED_BY_EVERY_COMMAND = {"splittree", "splittree.cli", "splittree.errors",
     (["oracle"], {"splittree.oracle"}, False),
     (["selftest", "--max-n", "2", "--max-value", "3", "--ks", "2,3"], {"splittree.oracle"},
      False),
+    (["build"], {"splittree.treebuild"}, False),
 ])
 def test_modules_each_command_loads(argv, extra, uses_json):
     # decide and trace never load the tree builder or the oracles
@@ -105,7 +106,8 @@ def test_modules_each_command_loads(argv, extra, uses_json):
     before, after, loaded = words[:3], words[3:6], words[6:]
     assert code == "0", line
     assert loaded == sorted(LOADED_BY_EVERY_COMMAND | extra)
-    # json loads only for the JSON formats, dataclasses and inspect for no
-    # command, unless the interpreter had them already
+    # json loads only for decide's and trace's JSON formats (build writes its
+    # own), dataclasses and inspect for no command, unless the interpreter had
+    # them already
     assert after == [str(had == "True" or needed)
                      for had, needed in zip(before, (uses_json, False, False))], line

@@ -370,6 +370,33 @@ class TestDominators:
                                   for _ in range(size)})
 
     @staticmethod
+    def run_sets():
+        # long runs of equal values, and lanes of one value throughout between
+        # varying ones: three values in runs, then a middle block of 6s
+        # (constant tuple lanes) between values up to 4 and values from 8
+        # (count lanes 5 to 8 constant)
+        rng = random.Random(29)
+        for n in (6, 12, 40):
+            for size in (10, 60, 200):
+                runs = set()
+                for _ in range(size):
+                    i, j = sorted(rng.randint(0, n) for _ in range(2))
+                    a, b, c = sorted(rng.sample(range(10), 3))
+                    runs.add(canonicalize([a] * i + [b] * (j - i) + [c] * (n - j)))
+                yield sorted(runs)
+                low, mid = rng.randint(1, n // 2), rng.randint(1, n // 3)
+                yield sorted({canonicalize([rng.randint(0, 4) for _ in range(low)] + [6] * mid
+                                           + [rng.randint(8, 12) for _ in range(n - low - mid)])
+                              for _ in range(size)})
+
+    @staticmethod
+    def brute_above(order):
+        """``above`` from the definition: bit ``b'`` of ``above[b]`` is set iff
+        ``order[b']`` dominates ``order[b]``."""
+        return [sum(1 << i for i, o in enumerate(order)
+                    if o != c and all(x <= y for x, y in zip(c, o))) for c in order]
+
+    @staticmethod
     def count_coded(sigs):
         """The set's children as ``_expand_level`` hands them to ``_dominators``
         on 8-bit count codes, each code's ``to_bytes``; None where ``_units``
@@ -387,8 +414,8 @@ class TestDominators:
     def test_matches_scan_and_brute_force(self):
         sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets(),
                                TestDominatedFilter.word_limit_sets(), self.wide_lane_sets(),
-                               self.crowded_lane_sets())
-        byte_sets = 0
+                               self.crowded_lane_sets(), self.run_sets())
+        byte_sets = brute_sets = 0
         for sigs in sets:
             # each set as value tuples and, where they fit, as 8-bit count codes'
             # bytes in the same order: both lane kinds give the same masks
@@ -401,12 +428,15 @@ class TestDominators:
                 order, above = _dominators(lanes[::-1], lambda: calls.append(None))
                 order = list(map(sig_of.__getitem__, order))
                 assert _undominated(order, above) == TestDominatedFilter.maximal(sigs), sigs
+                if len(sigs) <= 200:
+                    assert above == self.brute_above(order), sigs
+                    brute_sets += 1
                 columns = sum(len(set(lane)) > 1 for lane in zip(*lanes))
                 assert len(calls) == len(sigs) + columns
                 results.append((order, above))
             assert results[0] == results[-1], sigs
             byte_sets += len(results) - 1
-        assert byte_sets > 200
+        assert byte_sets > 200 and brute_sets > 800
         one = canonicalize([3, 5])
         assert _dominators([]) == ([], [])
         assert _dominators([one]) == ([one], [0])
