@@ -54,24 +54,35 @@ MUTANTS = [
      [TREEBUILD + "test_json_matches_reference_on_caterpillars"]),
     ("writer-unchecked", "treebuild.py", "return int.__repr__(_integer(value, name))",
      'return __import__("json").dumps(value)', [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
-    # the reduction step: solver._expand's merge value and cap, solver._child's slices
+    # the reduction step: the walk's merge value and class step, the survivors'
+    # cap, solver._child's slices, and the derivation ints of _expand_level
     ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),
     ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
     ("expand-tail-length", "solver.py", "(n - q - 1)", "(n - q)", [EXPAND_TEST]),
-    ("expand-singleton-cap", "solver.py", "                w = min(w, cap)\n", "", [EXPAND_TEST]),
-    ("expand-singleton-uncut", "solver.py", "                cap = min(cap, 0)\n", "",
+    # one parent's singleton code is never compared: a level of several tells
+    ("expand-singleton-cap", "solver.py", "                        w = 0\n",
+     "                        pass\n", [FUSED_TEST]),
+    ("expand-singleton-uncut", "solver.py", "cap = w + k - 1 if n > 2 else 0", "cap = w + k - 1",
      [EXPAND_TEST]),
     # k - 1 is equivalent: at a gap of k - 2 both branches give lo - 1
-    ("omega-branch-early", "solver.py", "if gap >= k - 2 else", "if gap >= k - 3 else",
+    ("omega-branch-early", "solver.py", "if gap >= k - 2:", "if gap >= k - 3:", [EXPAND_TEST]),
+    ("walk-class-parity", "solver.py", "lo + gap + 2 - (k - gap) % 2", "lo + gap + 2",
      [EXPAND_TEST]),
+    ("walk-rest-wrong-value", "solver.py", "rest = code - unit[lo]", "rest = code - unit[a[0]]",
+     [EXPAND_TEST]),
+    # a row repeats the one before only inside a run of three equal values
+    ("walk-run-skip-short-run", "solver.py", "if lo != a[i - 1] or lo != a[i + 1] or not i:",
+     "if lo != a[i - 1] or not i:", [EXPAND_TEST]),
+    ("walk-seen-flipped", "solver.py", "elif seen[s] != p:", "elif seen[s] == p:", [FUSED_TEST]),
+    ("derivation-decode-off-by-one", "solver.py", "i, j = divmod(ij, n)",
+     "i, j = divmod(ij + 1, n)", [EXPAND_TEST]),
     ("level-sort-in-assert", "solver.py", "    kept.sort(key=sum if prune",
      "    assert not kept.sort(key=sum if prune",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # count codes: the child, the lanes and the dense/tuple choice
-    ("codes-hi-as-lo", "solver.py", "code - unit[lo] - unit[hi]",
-     "code - unit[lo] - unit[lo]", [EXPAND_TEST]),
-    ("codes-no-cap-cut", "solver.py", "((code - unit[lo] - unit[hi]) & cut)",
-     "(code - unit[lo] - unit[hi])", [EXPAND_TEST]),
+    ("codes-hi-as-lo", "solver.py", "rest - unit[hi]", "rest - unit[lo]", [EXPAND_TEST]),
+    ("codes-no-cap-cut", "solver.py", "((rest - unit[hi]) & cut)", "(rest - unit[hi])",
+     [EXPAND_TEST]),
     ("codes-guard-one-bit-down", "solver.py", "unit[top] << bits - 1",
      "unit[top] << bits - 2", [EXPAND_TEST, CROWDED_TEST]),
     ("codes-units-one-short", "solver.py", "while len(_UNIT_8) <= top:",
@@ -99,8 +110,8 @@ MUTANTS = [
      "some_kept.update(at)", [FUSED_TEST]),
     ("fused-unpruned", "solver.py", "fused = prune and len(parents)", "fused = len(parents)",
      [FUSED_TEST]),
-    ("fused-16bit-byte-lanes", "solver.py", "[_child(a, *p) for a, _, p in merged.values()]",
-     '[c.to_bytes(2 * top, "little") for c in merged]', [CROWDED_TEST]),
+    ("fused-16bit-byte-lanes", "solver.py", "[_derivation(k, n, parents, d)[0] for d in first]",
+     '[c.to_bytes(2 * top, "little") for c in slot]', [CROWDED_TEST]),
     ("dominators-lowest-only", "solver.py", "return order, above",
      "return order, [up & -up for up in above]", [FUSED_TEST]),
     # the AND runs lane by lane, only where a value differs from the lane before

@@ -4,8 +4,8 @@ A leaf signature is a multiset of integer depth bounds, kept in sorted
 non-decreasing order.  The primitives here check their inputs: the merge
 value ``omega``, domination, truncation, and the single reduction step
 ``merge_reduce``.  The solver's search builds its children inline
-(``solver._expand``); ``_reduce``, the unchecked step behind
-``merge_reduce``, is the reference the tests check the search against.
+(``solver._expand_level``); ``_reduce``, the unchecked step behind
+``merge_reduce``, is the reference the search is checked against.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _reduce(k: int, a: LeafSignature, i: int, j: int) -> tuple[int, int, LeafSig
     than k-1 below the deepest internal vertex), and a singleton child to 0
     (its leaf is the root).  ``inserted`` is w cut to the cap.
 
-    The search does not call this: ``solver._expand`` builds the same child
-    inline from slices of the parent.  This list-built step is the
-    reference the tests check the search against.
+    The search does not call this: ``solver._expand_level`` builds the same
+    child inline.  This list-built step is the reference it is checked
+    against, through ``solver.generate_children_naive`` and the tests.
     """
     w = omega(k, a[i], a[j])
     cap = w + k - 1 if len(a) > 2 else min(w + k - 1, 0)

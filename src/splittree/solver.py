@@ -8,11 +8,12 @@ realizable iff a non-negative singleton survives down at length 1.  One level
 is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
-a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  In it
-every child is one integer, in the code that ``_units`` picks once per level:
-its count code, the sum of its values' lane units (at 8 bits off one shared
-list), or, where a value is negative or ``M * bits > 64 * n``, its positional
-code, value ``i`` in lane ``i``.  Only survivors are built as tuples.  A pass
+a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
+walk over each parent's representative pairs makes every child one integer,
+in the code that ``_units`` picks once per level: its count code, the sum of its
+values' lane units (at 8 bits off one shared list), or, where a value is negative
+or ``M * bits > 64 * n``, its positional code, value ``i`` in lane ``i``.  Only
+survivors are built as tuples.  A pass
 over a whole level's union reads ``_dominators``' masks, one mask step per lane
 of tuples or 8-bit codes' bytes, ANDed where a value changes; every other pass scans.
 """
@@ -30,6 +31,7 @@ from typing import Callable, Collection, Iterable, NamedTuple
 from .errors import InputError, LimitError
 from .signature import (
     LeafSignature,
+    _reduce,
     canonicalize,
     truncate,
     validate_k,
@@ -239,7 +241,7 @@ def _dominators(
     that see a whole level's union of children (the scan serves all others):
     ``order`` holds them by descending sum, ties in input order, and bit
     ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
-    One ``check_time`` call per varying lane, then one per signature.
+    One ``check_time`` call per varying lane.
 
     Per varying lane, ``_ge_masks`` gives the mask of the signatures whose
     value there is ``>= v``.  The AND of these masks at ``c``'s values holds
@@ -277,9 +279,6 @@ def _dominators(
             for b in changed:
                 above[b] &= ge[lane[b]]
         previous = current
-    if check_time is not None:
-        for _ in order:
-            check_time()
     return order, above
 
 
@@ -288,25 +287,6 @@ def _undominated(order: list[Signature], above: list[int]) -> list[Signature]:
     descending sum, ties ascending."""
     kept = sorted(c for c, up in zip(order, above) if not up)
     return sorted(kept, key=sum, reverse=True)  # stable: ties stay ascending
-
-
-def _pairs(k: int, a: LeafSignature) -> list[tuple[int, int]]:
-    """The representative pairs of ``generate_children_fast``, by i then j."""
-    n = len(a)
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        ai = a[i]
-        j = i + 1
-        while True:
-            pairs.append((i, j))
-            gap = a[j] - ai
-            if gap >= k - 2:
-                break
-            # the next class starts at the smallest gap t > gap with k - t even
-            j = bisect_left(a, ai + gap + 2 - (k - gap) % 2, j + 1)
-            if j == n:
-                break
-    return pairs
 
 
 def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
@@ -329,62 +309,6 @@ def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
     return a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
 
 
-def _expand(k: int, a: LeafSignature, pairs: list[tuple[int, int]],
-            units: tuple[int, list[int] | _Memo | Callable, int],
-            scan: bool = True) -> tuple[dict, int, int]:
-    """``(children, negatives, dominated)``: the undominated non-negative
-    children of ``a`` over ``pairs``, each with the ``(i, j, omega, cap)`` of
-    its first pair, for ``_child``; the pairs that give a negative child; the
-    distinct children a sibling dominates.  Without ``scan``, every distinct
-    non-negative child, in the order of first generation, and 0 dominated.
-    A child is the code that ``units = (bits, unit, guard)`` picks, and
-    ``_scan`` filters the codes with ``guard`` (a level's: its lanes past
-    ``a[-1]`` are 0 in every child of ``a``).  A count code is ``((code -
-    unit[lo] - unit[hi]) & (1 << bits * min(cap, a[-1])) - 1) + unit[w]`` for
-    ``lo <= hi`` and ``a``'s code ``code = sum(unit[v] for v in a)`` (the cut
-    clears the lanes past ``cap``).  A positional code packs the ``_child``
-    tuple, once it is known to be non-negative.
-    Pairs of equal values give equal children, so each distinct value pair is
-    reduced once; the repeats of a negative one still count as negatives.
-    """
-    n = len(a)
-    cands: dict[int, tuple[int, int, int, int]] = {}
-    negative_of: dict[tuple[int, int], bool] = {}
-    negatives = 0
-    bits, unit, guard = units
-    code, top = sum(map(unit.__getitem__, a)) if bits else 0, a[-1]
-    for i, j in pairs:
-        lo, hi = a[i], a[j]
-        negative = negative_of.get((lo, hi))
-        if negative is None:
-            gap = hi - lo  # w = signature.omega(k, lo, hi), as lo <= hi
-            w = lo - 1 if gap >= k - 2 else lo - (k - gap + 1) // 2
-            cap = w + k - 1
-            if n == 2:  # the singleton is cut to min(w + k - 1, 0)
-                cap = min(cap, 0)
-                w = min(w, cap)
-            if bits:
-                negative = w < 0
-                if not negative:
-                    cut = (1 << bits * (cap if cap < top else top)) - 1
-                    child = ((code - unit[lo] - unit[hi]) & cut) + unit[w]
-                    assert child.bit_length() <= bits * cap
-            else:
-                child = _child(a, i, j, w, cap)
-                negative = child[0] < 0
-                if not negative:
-                    child = int.from_bytes(unit(*child), "little")
-            negative_of[lo, hi] = negative
-            if not negative and child not in cands:
-                cands[child] = (i, j, w, cap)
-        negatives += negative
-    if not scan:
-        return cands, negatives, 0
-    kept = _scan(cands, guard)
-    assert len(kept) <= k * (len(a) - 1)
-    return {c: cands[c] for c in kept}, negatives, len(cands) - len(kept)
-
-
 def _record(child: Signature, a: LeafSignature, parent_l: float,
             provenance: tuple[int, int, int, int]) -> MergeRecord:
     i, j, inserted, cap = provenance
@@ -392,36 +316,37 @@ def _record(child: Signature, a: LeafSignature, parent_l: float,
     return MergeRecord(a, a[i], a[j], inserted, cap, child, min(parent_l, inserted))
 
 
-def _generate(k: int, a: LeafSignature, pairs: list[tuple[int, int]], parent_l: float,
-              stats: SolverStats | None) -> list[MergeRecord]:
-    children, negatives, dominated = _expand(k, a, pairs, _units(len(a), a[0], a[-1]))
-    if stats is not None:
-        stats.signatures_generated += len(pairs)
-        stats.pruned_negative += negatives
-        stats.pruned_dominated += dominated
-    kept = sorted((_child(a, *p), p) for p in children.values())
-    assert all(c[-1] <= parent_l + k - 1 for c, _ in kept)  # with <= cap: <= l_value + k - 1
-    return [_record(c, a, parent_l, p) for c, p in kept]
-
-
 def generate_children_naive(k: int, a: LeafSignature, parent_l: float = math.inf,
                             stats: SolverStats | None = None) -> list[MergeRecord]:
-    """All merge candidates of ``a``: one per unordered position pair,
-    with negative children dropped and dominated candidates removed.
-    Returned sorted by child signature."""
+    """``generate_children_fast``'s reference, sharing no search code: ``signature._reduce``
+    on every position pair, the first record per non-negative child, dominated ones
+    removed; sorted by child signature."""
     validate_k(k)
     a = canonicalize(a)
     n = len(a)
     if n < 2:
         raise InputError("child generation needs a signature of length >= 2")
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    return _generate(k, a, pairs, parent_l, stats)
+    cands, negatives = {}, 0  # child -> its first record
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            inserted, cap, child = _reduce(k, a, i, j)
+            if child[0] < 0:
+                negatives += 1
+            elif child not in cands:
+                l_value = min(parent_l, inserted)
+                cands[child] = MergeRecord(a, a[i], a[j], inserted, cap, child, l_value)
+    kept = _undominated(*_dominators(cands))
+    if stats is not None:
+        stats.signatures_generated += n * (n - 1) // 2
+        stats.pruned_negative += negatives
+        stats.pruned_dominated += len(cands) - len(kept)
+    return [cands[c] for c in sorted(kept)]
 
 
 def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
                            stats: SolverStats | None = None) -> list[MergeRecord]:
     """Same result set as ``generate_children_naive`` without materializing
-    every pair.
+    every pair: ``_expand_level``'s walk, ``a`` a one-parent unpruned level.
 
     For a fixed smaller-side position i the merge value is non-decreasing
     in the partner's bound and takes at most ceil(k/2) distinct values.
@@ -431,14 +356,20 @@ def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
     expanded.  The value changes only where the gap a[j] - a[i] reaches
     some t in range(k - 2, 0, -2), so the representatives are i + 1 and
     the first partner at or past each such t, found by bisect; from a gap
-    of k - 2 on the value stays a[i] - 1.  Pairs of equal values are
-    reduced once: they give the same child and the same record.
+    of k - 2 on the value stays a[i] - 1.  Repeats of a value pair each count
+    as a pair; they give one child code, with the first one's record.
     """
     validate_k(k)
     a = canonicalize(a)
     if len(a) < 2:
         raise InputError("child generation needs a signature of length >= 2")
-    return _generate(k, a, _pairs(k, a), parent_l, stats)
+    kept, built, (pairs, negatives, dominated, _) = _expand_level(
+        k, len(a) - 1, [(a, parent_l)], False, None)
+    if stats is not None:
+        stats.signatures_generated += pairs
+        stats.pruned_negative += negatives
+        stats.pruned_dominated += dominated
+    return [_record(c, *built[c]) for c in kept]
 
 
 def prune_level(level: LevelSet) -> LevelSet:
@@ -474,73 +405,141 @@ def _expand_level(
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
     """``_run_levels``' step to length ``z``: every parent's children, in the
     one code that ``_units`` picks for the level, then, if ``prune``, the
-    level-wide domination.  From ``_FUSED_MIN_PARENTS`` parents on, a pruned
-    level reads both off one ``_dominators`` pass over the union of all children
-    (8-bit count codes' bytes, read there as one byte matrix, else ``_child``
-    tuples); narrower levels scan.  A child is dominated within its parent iff a
-    sibling dominates it.  What a parent drops has a dominator that it keeps,
+    level-wide domination.  One walk visits each parent's representative pairs
+    (see ``generate_children_fast``): row ``i``, ``j`` moving by bisect to each
+    merge class.  A row inside a run of equal values repeats the row before it,
+    pairs and children, so it adds that row's counts only.  Each child's first
+    derivation is the int ``(p * n + i) * n + j`` of its pair in ``parents[p]``.
+    A count code is ``((code - unit[lo] - unit[hi]) & (1 << bits * min(cap,
+    a[-1])) - 1) + unit[w]``, ``code - unit[lo]`` once per row (the cut clears
+    the lanes past ``cap``); a positional code packs the non-negative ``_child``.
+
+    From ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both
+    dominations off one ``_dominators`` pass over all children (8-bit count
+    codes' bytes, as one byte matrix, else tuples), each in the level's slot
+    table and listed once in its parent's group.  Narrower levels scan each
+    parent's children, then the union of the kept ones, each with its first
+    keeping parent's derivation.  A child is dominated within its parent iff
+    a sibling dominates it.  What a parent drops has a dominator that it keeps,
     so all children and the kept ones have the same survivors; a survivor is
     kept by every parent generating it, so its first derivation is the one of
-    the per-parent scans.  Survivors are built by ``_child``, by descending
-    sum, ties ascending (unpruned: by parent, then ascending).
+    the per-parent scans.  Survivors are built by ``_derivation``, by
+    descending sum, ties ascending (unpruned: by parent, then ascending).
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
+    n = z + 1
     top = max(a[-1] for a, _ in parents)
-    bits, _, guard = units = _units(z + 1, 0, top)
-    merged = {}  # child code -> (parent, parent_l, provenance) of first derivation
-    groups = []  # every parent's children, when fused
-    pairs = negatives = dominated = 0
-    for a, parent_l in parents:
+    bits, unit, guard = _units(n, min(a[0] for a, _ in parents), top)
+    merged, slot = {}, {}  # child code -> first keeping derivation (scanned), -> slot (fused)
+    first, seen, groups = [], [], []  # fused: per slot, per slot, per parent
+    pairs = negatives = dominated = fresh = 0  # fresh: the next slot
+    for p, (a, parent_l) in enumerate(parents):
         if check_time is not None:
             check_time()
-        ij = _pairs(k, a)
-        children, negative, dropped = _expand(k, a, ij, units, not fused)
-        pairs += len(ij)
-        negatives += negative
-        dominated += dropped
-        for child, provenance in children.items():
-            if child not in merged:
-                merged[child] = (a, parent_l, provenance)
+        code, last = sum(map(unit.__getitem__, a)) if bits else 0, a[-1]
+        cands, group = {}, []  # scanned: child code -> first derivation; fused: slots
+        for i in range(n - 1):
+            lo = a[i]
+            if lo != a[i - 1] or lo != a[i + 1] or not i:  # else row i repeats row i - 1
+                row_pairs = row_negatives = 0
+                rest = code - unit[lo] if bits else 0
+                row = (p * n + i) * n
+                step = i + 1
+                while step < n:
+                    j = step
+                    hi = a[j]
+                    gap = hi - lo  # w = signature.omega(k, lo, hi), as lo <= hi
+                    row_pairs += 1
+                    if gap >= k - 2:  # the merge value stays lo - 1 from here on
+                        w, step = lo - 1, n
+                    else:  # the next class starts at the smallest gap t > gap with k - t even
+                        w = lo - (k - gap + 1) // 2
+                        step = bisect_left(a, lo + gap + 2 - (k - gap) % 2, j + 1)
+                    if w < 0:
+                        row_negatives += 1
+                        continue
+                    if n == 2:  # the singleton (w,) is cut to (0,): no other value is left
+                        w = 0
+                    cap = w + k - 1
+                    if bits:
+                        cut = (1 << bits * (cap if cap < last else last)) - 1
+                        child = ((rest - unit[hi]) & cut) + unit[w]
+                        assert child.bit_length() <= bits * cap
+                    else:
+                        child = _child(a, i, j, w, cap)
+                        if child[0] < 0:  # a negative parent keeps its value or merges it lower
+                            row_negatives += 1
+                            continue
+                        child = int.from_bytes(unit(*child), "little")
+                    if not fused:
+                        cands.setdefault(child, row + j)
+                        continue
+                    s = slot.setdefault(child, fresh)
+                    if s == fresh:  # a new child of the level
+                        fresh += 1
+                        seen.append(p)
+                        first.append(row + j)
+                        group.append(s)
+                    elif seen[s] != p:  # first met in this parent
+                        seen[s] = p
+                        group.append(s)
+            pairs += row_pairs
+            negatives += row_negatives
         if fused:
-            groups.append(list(children))
+            groups.append(group)
+            continue
+        kept = _scan(cands, guard)
+        assert len(kept) <= k * z
+        dominated += len(cands) - len(kept)
+        for c in kept:
+            merged.setdefault(c, cands[c])
     if not fused:
         kept = _scan(merged, guard, check_time) if prune else list(merged)
         dropped_level = len(merged) - len(kept)
+        kept = list(map(merged.__getitem__, kept))
     else:
-        lanes = ([c.to_bytes(top, "little") for c in merged] if bits == 8
-                 else [_child(a, *p) for a, _, p in merged.values()])
+        lanes = ([c.to_bytes(top, "little") for c in slot] if bits == 8
+                 else [_derivation(k, n, parents, d)[0] for d in first])
         order, above = _dominators(lanes, check_time)
-        index = dict(zip(merged, map(dict(zip(order, count())).__getitem__, lanes)))
+        bit = list(map(dict(zip(order, count())).__getitem__, lanes))  # slot -> bit of order
         some_kept: set[int] = set()  # bits of children a parent keeps
         for group in groups:
             if check_time is not None:
                 check_time()
-            at = list(map(index.__getitem__, group))
+            at = list(map(bit.__getitem__, group))
             mask = sum(map((1).__lshift__, at))
             kept_bits = [b for b in at if not above[b] & mask]
             assert len(kept_bits) <= k * z
             dominated += len(at) - len(kept_bits)
             some_kept.update(kept_bits)
-        kept = [c for c, b in index.items() if not above[b]]
+        kept = [d for d, b in zip(first, bit) if not above[b]]
         dropped_level = len(some_kept) - len(kept)
-    built = {}
-    for c in kept:
-        a, parent_l, provenance = derivation = merged[c]
-        child = _child(a, *provenance)
-        assert child[-1] <= parent_l + k - 1  # as in _generate
-        built[child] = derivation
+    built = dict(_derivation(k, n, parents, d) for d in kept)
     kept = sorted(built)  # unpruned: by (sorted) parent, then ascending
     kept.sort(key=sum if prune else lambda c: built[c][0], reverse=prune)
     return kept, built, (pairs, negatives, dominated, dropped_level)
+
+
+def _derivation(k: int, n: int, parents: list[tuple[LeafSignature, float]], d: int) -> tuple:
+    """``(child, (a, parent_l, (i, j, w, cap)))`` of ``_expand_level``'s derivation
+    ``d = (p * n + i) * n + j``, a non-negative child of ``(a, parent_l) = parents[p]``."""
+    p, ij = divmod(d, n * n)
+    i, j = divmod(ij, n)
+    a, parent_l = parents[p]
+    w = a[i] - max(1, (k - a[j] + a[i] + 1) // 2) if n > 2 else 0  # signature.omega, or (0,)
+    cap = w + k - 1 if n > 2 else 0
+    child = _child(a, i, j, w, cap)
+    assert child[-1] <= parent_l + k - 1  # with <= cap: <= l_value + k - 1
+    return child, (a, parent_l, (i, j, w, cap))
 
 
 def _unit_edge_level(
     parents: list[tuple[LeafSignature, float]], check_time: Callable[[], None] | None
 ) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
     """``_expand_level`` for ``k = 2``: the one kept child and the counts of
-    ``_expand`` over ``_pairs(2, a)`` on the level's one
-    non-negative signature ``a``, built without any sibling (Huffman's
-    exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
+    its walk on the level's one non-negative signature ``a`` (pairs ``(i, i +
+    1)``, as every gap is at least ``k - 2 = 0``), built without any sibling
+    (Huffman's exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
     - the pair ``(i, i+1)`` with ``a[i] = v`` merges to ``w = v-1``, ``cap =
       v`` and gives ``a[:r(v)] + (v-1,) + (v,) * (n-r(v)-2)``, ``r(v) =
       bisect_left(a, v)``: distinct children are distinct values, negative

@@ -26,8 +26,6 @@ from splittree.solver import (
     _FUSED_MIN_PARENTS,
     _dominators,
     _expand_level,
-    _generate,
-    _pairs,
     _record,
     _scan,
     _undominated,
@@ -46,9 +44,27 @@ def children_set(generator, k, sig):
     return {rec.child for rec in generator(k, canonicalize(sig))}
 
 
+def representative_pairs(k, sig):
+    """One pair per ``(i, omega)`` class, its first partner, by brute force
+    over the partners ``j`` of each ``i``.  The scan stops at the first value
+    ``sig[i] - 1``: ``omega``'s formula is non-decreasing in the partner's
+    bound and at most ``sig[i] - 1``, so no later partner opens a class."""
+    pairs = []
+    for i in range(len(sig) - 1):
+        best_j = {}
+        for j in range(i + 1, len(sig)):
+            w = omega(k, sig[i], sig[j])
+            best_j.setdefault(w, j)
+            if w == sig[i] - 1:
+                break
+        pairs.extend((i, j) for j in best_j.values())
+    return pairs
+
+
 def per_pair_generate(k, sig, pairs, parent_l):
-    """``_generate`` with every pair reduced on its own: no reuse of the
-    result of an equal value pair."""
+    """The records and counters of ``pairs``, each reduced on its own by
+    ``signature._reduce``: the first record per distinct non-negative child,
+    undominated, sorted by child."""
     stats = SolverStats(signatures_generated=len(pairs))
     cands = {}
     for i, j in pairs:
@@ -213,19 +229,12 @@ class TestGenerators:
                               for _ in range(n)]))
         for k, values in cases:
             sig = canonicalize(values)
-            pairs = []
-            for i in range(len(sig) - 1):
-                best_j = {}
-                for j in range(i + 1, len(sig)):
-                    best_j.setdefault(omega(k, sig[i], sig[j]), j)
-                pairs.extend((i, j) for j in best_j.values())
             parent_l = rng.choice([math.inf, sig[-1] - k + 1])  # max(a) <= l + k - 1
-            expected_stats, stats = SolverStats(), SolverStats()
-            expected = _generate(k, sig, pairs, parent_l, expected_stats)
+            expected, expected_stats = per_pair_generate(k, sig, representative_pairs(k, sig),
+                                                         parent_l)
+            stats = SolverStats()
             assert generate_children_fast(k, sig, parent_l, stats) == expected, (k, sig)
             assert stats == expected_stats, (k, sig)
-            assert _pairs(k, sig) == pairs, (k, sig)
-            assert per_pair_generate(k, sig, pairs, parent_l) == (expected, expected_stats)
             if sig[0] < 0:  # positional codes, which hold no negative child; every pair too
                 assert _units(len(sig), sig[0], sig[-1])[0] == 0
                 every = [(i, j) for i in range(len(sig) - 1) for j in range(i + 1, len(sig))]
@@ -432,7 +441,7 @@ class TestDominators:
                     assert above == self.brute_above(order), sigs
                     brute_sets += 1
                 columns = sum(len(set(lane)) > 1 for lane in zip(*lanes))
-                assert len(calls) == len(sigs) + columns
+                assert len(calls) == columns
                 results.append((order, above))
             assert results[0] == results[-1], sigs
             byte_sets += len(results) - 1
@@ -505,6 +514,14 @@ class TestFusedLevels:
                 max_level_size=rng.choice([None, None, rng.randint(0, 60)]),
                 max_seconds=rng.choice([None, None, 0.0, 1e9]),
             )
+        # heavy repeats: two or three values, so that most pairs repeat a value
+        # pair and most children come from several parents
+        rng = random.Random(59)
+        for _ in range(16):
+            k, n = rng.randint(3, 10), rng.randint(6, 14)
+            values = rng.sample(range(k, 3 * k), rng.randint(2, 3))
+            yield k, [rng.choice(values) for _ in range(n)], SolverConfig(
+                prune_level_domination=n > 9 or rng.random() < 0.5)
 
     def test_masks_at_every_width_match_scans(self, monkeypatch):
         for k, depths, config in self.instances():
@@ -603,10 +620,12 @@ class TestUnitEdgeLevels:
             cases.append([0] * zeros + rest)
         for values in cases:
             a = canonicalize(values)
+            pairs = representative_pairs(2, a)
             for parent_l in (math.inf, a[-1] - 1):
-                pairs = _pairs(2, a)
-                stats = SolverStats()
-                expected = _generate(2, a, pairs, parent_l, stats)
+                expected, stats = per_pair_generate(2, a, pairs, parent_l)
+                fast_stats = SolverStats()
+                assert generate_children_fast(2, a, parent_l, fast_stats) == expected, values
+                assert fast_stats == stats, values
                 step = _unit_edge_level([(a, parent_l)], None)
                 kept, merged, counts = step
                 assert len(kept) + counts[3] == len(kept) == len(expected), values
@@ -1080,9 +1099,9 @@ class TestLimits:
         clock = itertools.count()
         assert decide(k, depths, SolverConfig(max_seconds=checks)) == full
         # one check per parent, per candidate of a level-wide scan and, in a
-        # fused level, per mask column, per masked child and per parent group:
-        # between two checks lies at most one parent's, child's or column's work
-        counted = dict.fromkeys(("parents", "scanned", "columns", "masked", "groups"), 0)
+        # fused level, per mask column and per parent group: between two
+        # checks lies at most one parent's, child's, column's or group's work
+        counted = dict.fromkeys(("parents", "scanned", "columns", "groups"), 0)
         level = []
 
         def expand_level(k, z, parents, prune, check_time):
@@ -1097,7 +1116,6 @@ class TestLimits:
 
         def dominators(sigs, check_time=None):
             counted["columns"] += sum(len(set(lane)) > 1 for lane in zip(*sigs))
-            counted["masked"] += len(sigs)
             counted["groups"] += level[0]
             return _dominators(sigs, check_time)
 
