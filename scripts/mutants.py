@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
+RUN_TEST = SOLVER + "TestGenerators::test_run_rows_exhaustive"
 WORD_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
 HUGE_K_TEST = SOLVER + "TestDecide::test_huge_k_matches_recursive_oracle"
 FUSED_TEST = SOLVER + "TestFusedLevels::test_masks_at_every_width_match_scans"
@@ -60,19 +61,28 @@ MUTANTS = [
     ("expand-middle-slice", "solver.py", "a[j + 1 : q]", "a[j:q]", [EXPAND_TEST]),
     ("expand-tail-length", "solver.py", "(n - q - 1)", "(n - q)", [EXPAND_TEST]),
     # one parent's singleton code is never compared: a level of several tells
-    ("expand-singleton-cap", "solver.py", "                        w = 0\n",
-     "                        pass\n", [FUSED_TEST]),
+    ("expand-singleton-cap", "solver.py", "                    w = 0\n",
+     "                    pass\n", [FUSED_TEST]),
     ("expand-singleton-uncut", "solver.py", "cap = w + k - 1 if n > 2 else 0", "cap = w + k - 1",
      [EXPAND_TEST]),
     # k - 1 is equivalent: at a gap of k - 2 both branches give lo - 1
     ("omega-branch-early", "solver.py", "if gap >= k - 2:", "if gap >= k - 3:", [EXPAND_TEST]),
     ("walk-class-parity", "solver.py", "lo + gap + 2 - (k - gap) % 2", "lo + gap + 2",
      [EXPAND_TEST]),
-    ("walk-rest-wrong-value", "solver.py", "rest = code - unit[lo]", "rest = code - unit[a[0]]",
+    ("walk-rest-wrong-value", "solver.py", "n, code - unit[lo] if bits",
+     "n, code - unit[a[0]] if bits", [EXPAND_TEST]),
+    # a later row of a run: inside it (a[i + 1] equal too) it repeats the row
+    # before; the last row drops (i - 1, i) and walks (i, i + 1) if of its class,
+    # that is at k = 2 or at even k with a gap of 1, and the dropped pair is
+    # negative where its merge value or a[0] is
+    ("walk-run-skip-short-run", "solver.py", "elif lo == a[step]:", "elif lo == a[i - 1]:",
      [EXPAND_TEST]),
-    # a row repeats the one before only inside a run of three equal values
-    ("walk-run-skip-short-run", "solver.py", "if lo != a[i - 1] or lo != a[i + 1] or not i:",
-     "if lo != a[i - 1] or not i:", [EXPAND_TEST]),
+    ("walk-last-row-class-parity", "solver.py", "a[step] - lo >= 2 - k % 2",
+     "a[step] - lo >= 2", [RUN_TEST]),
+    ("walk-last-row-unit-edge", "solver.py", "end = 0 if k > 2 and a[step]", "end = 0 if a[step]",
+     [RUN_TEST]),
+    ("walk-last-row-negative", "solver.py", "min(lo - (k + 1) // 2, a[0]) < 0",
+     "lo - (k + 1) // 2 < 0", [RUN_TEST]),
     ("walk-seen-flipped", "solver.py", "elif seen[s] != p:", "elif seen[s] == p:", [FUSED_TEST]),
     ("derivation-decode-off-by-one", "solver.py", "i, j = divmod(ij, n)",
      "i, j = divmod(ij + 1, n)", [EXPAND_TEST]),
@@ -121,6 +131,9 @@ MUTANTS = [
      "for t in range(width)", [LEVEL_TEST]),
     ("dominators-first-lane-none", "solver.py", "changed = range(n)", "changed = ()",
      [LEVEL_TEST]),
+    # the top byte lane starts below an all-zero lane, not an all-one one
+    ("dominators-top-lane-ones", "solver.py", "for t in reversed(range(width))), 0",
+     'for t in reversed(range(width))), int.from_bytes(b"\\1" * n, "big")', [LEVEL_TEST]),
     # the one mask step on tuple lanes' ranks, and the kept lists' order
     ("masks-threshold-off-by-one", "solver.py", 'b"0" * r + b"1" * (256 - r)',
      'b"0" * (r + 1) + b"1" * (255 - r)', [LEVEL_TEST]),

@@ -8,8 +8,8 @@ instances of ``bench/pool.json``:
     python3 scripts/pool_hash.py --expect HEX
 
 With ``--expect HEX`` it also compares the digest with ``HEX``; on a
-mismatch it prints both digests and exits 1.  It takes about a minute on a
-2-core machine.  It imports the ``src/`` of the checkout it sits in, never
+mismatch it prints both digests and exits 1.  It takes 10 to 20 seconds on
+a 2-core machine (CPython 3.11).  It imports the ``src/`` of the checkout it sits in, never
 an installed copy.
 """
 

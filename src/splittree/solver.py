@@ -9,13 +9,13 @@ is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the kept children, each
 child's first derivation and the counts ``(pairs, negatives, dominated within
 a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
-walk over each parent's representative pairs makes every child one integer,
-in the code that ``_units`` picks once per level: its count code, the sum of its
-values' lane units (at 8 bits off one shared list), or, where a value is negative
-or ``M * bits > 64 * n``, its positional code, value ``i`` in lane ``i``.  Only
-survivors are built as tuples.  A pass
-over a whole level's union reads ``_dominators``' masks, one mask step per lane
-of tuples or 8-bit codes' bytes, ANDed where a value changes; every other pass scans.
+walk over each parent's representative pairs, a run of equal values once, makes
+every child one integer, in the code that ``_units`` picks once per level: its
+count code, the sum of its values' lane units (at 8 bits off one shared list), or,
+where a value is negative or ``M * bits > 64 * n``, its positional code, value
+``i`` in lane ``i``.  Only survivors are built as tuples.  A pass over a whole
+level's union reads ``_dominators``' masks, one mask step per lane of tuples or
+8-bit codes' bytes, ANDed where a value changes; every other pass scans.
 """
 
 from __future__ import annotations
@@ -247,22 +247,21 @@ def _dominators(
     value there is ``>= v``.  The AND of these masks at ``c``'s values holds
     ``c`` and its dominators, whose strictly larger sums give lower bits, so
     ``above[b]`` is that AND below bit ``b``.  Lanes of one value throughout
-    are skipped.  The AND runs lane by lane: the first lane visited takes every
-    signature, a later one only those whose value differs from the adjacent lane
-    visited before it (skipped or not), where that lane's test does not imply
-    this one's.  Tuple lanes come from ``zip``, each value at most the next;
-    8-bit count codes' bytes are joined once, in ``order``, and lane ``t`` is the
-    strided slice of that matrix, visited top lane first, each count at least
-    the one above it.
+    are skipped.  The AND runs lane by lane, only for the signatures whose value
+    differs from the adjacent lane visited before it (skipped or not), where that
+    lane's test does not imply this one's; the first tuple lane takes every one.
+    Tuple lanes come from ``zip``, each value at most the next; 8-bit count codes'
+    bytes are joined once, in ``order``, and lane ``t`` is the strided slice of
+    that matrix, visited top lane first, each count at least the one above it:
+    the top lane starts below an all-zero lane, as a count of 0 passes every mask.
     """
     order = sorted(sigs, key=sum, reverse=True)
     n = len(order)
     above = [(1 << b) - 1 for b in range(n)]
-    lanes = zip(*order)
+    lanes, previous = zip(*order), None  # previous: the lane visited before, constant or not
     if order and isinstance(order[0], bytes):  # lane t: a strided slice of one matrix
-        width, matrix = len(order[0]), b"".join(order)
-        lanes = (matrix[t::width] for t in reversed(range(width)))
-    previous = None  # the lane visited before, constant or not; a byte lane as one int
+        width, matrix = len(order[0]), b"".join(order)  # previous: an int, first the 0s on top
+        lanes, previous = (matrix[t::width] for t in reversed(range(width))), 0
     for lane in lanes:
         values = sorted(set(lane))
         current = int.from_bytes(lane, "big") if isinstance(lane, bytes) else lane
@@ -357,7 +356,9 @@ def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
     some t in range(k - 2, 0, -2), so the representatives are i + 1 and
     the first partner at or past each such t, found by bisect; from a gap
     of k - 2 on the value stays a[i] - 1.  Repeats of a value pair each count
-    as a pair; they give one child code, with the first one's record.
+    as a pair; they give one child code, with the first one's record.  So row
+    i, where a[i - 1] == a[i], has row i - 1's pairs less (i - 1, i), plus (i, i + 1)
+    if of its class (k = 2, or even k, gap 1), a new pair only in a run's last row.
     """
     validate_k(k)
     a = canonicalize(a)
@@ -407,12 +408,12 @@ def _expand_level(
     one code that ``_units`` picks for the level, then, if ``prune``, the
     level-wide domination.  One walk visits each parent's representative pairs
     (see ``generate_children_fast``): row ``i``, ``j`` moving by bisect to each
-    merge class.  A row inside a run of equal values repeats the row before it,
-    pairs and children, so it adds that row's counts only.  Each child's first
-    derivation is the int ``(p * n + i) * n + j`` of its pair in ``parents[p]``.
-    A count code is ``((code - unit[lo] - unit[hi]) & (1 << bits * min(cap,
-    a[-1])) - 1) + unit[w]``, ``code - unit[lo]`` once per row (the cut clears
-    the lanes past ``cap``); a positional code packs the non-negative ``_child``.
+    merge class.  A later row of a run of equal values derives its counts from row
+    ``i - 1``'s and walks at most ``(i, i + 1)``, the one pair that can be new.  Each
+    child's first derivation is the int ``(p * n + i) * n + j`` of its pair in
+    ``parents[p]``.  A count code is ``((code - unit[lo] - unit[hi]) & (1 << bits *
+    min(cap, a[-1])) - 1) + unit[w]``, ``code - unit[lo]`` once per row (the cut
+    clears the lanes past ``cap``); a positional code packs the non-negative ``_child``.
 
     From ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both
     dominations off one ``_dominators`` pass over all children (8-bit count
@@ -439,50 +440,54 @@ def _expand_level(
         code, last = sum(map(unit.__getitem__, a)) if bits else 0, a[-1]
         cands, group = {}, []  # scanned: child code -> first derivation; fused: slots
         for i in range(n - 1):
-            lo = a[i]
-            if lo != a[i - 1] or lo != a[i + 1] or not i:  # else row i repeats row i - 1
+            lo, step, row = a[i], i + 1, (p * n + i) * n
+            if not i or lo != a[i - 1]:  # a run's first row: every representative pair
                 row_pairs = row_negatives = 0
-                rest = code - unit[lo] if bits else 0
-                row = (p * n + i) * n
-                step = i + 1
-                while step < n:
-                    j = step
-                    hi = a[j]
-                    gap = hi - lo  # w = signature.omega(k, lo, hi), as lo <= hi
-                    row_pairs += 1
-                    if gap >= k - 2:  # the merge value stays lo - 1 from here on
-                        w, step = lo - 1, n
-                    else:  # the next class starts at the smallest gap t > gap with k - t even
-                        w = lo - (k - gap + 1) // 2
-                        step = bisect_left(a, lo + gap + 2 - (k - gap) % 2, j + 1)
-                    if w < 0:
+                end, rest = n, code - unit[lo] if bits else 0
+            elif lo == a[step]:  # inside a run: row i - 1 again, (i, i + 1) for (i - 1, i)
+                end = 0
+            else:  # a run's last row: row i - 1 less (i - 1, i), plus (i, i + 1) if of its class
+                row_pairs -= 1
+                row_negatives -= min(lo - (k + 1) // 2, a[0]) < 0  # its w, or a[0], below 0
+                end = 0 if k > 2 and a[step] - lo >= 2 - k % 2 else step + 1
+            while step < end:
+                j = step
+                hi = a[j]
+                gap = hi - lo  # w = signature.omega(k, lo, hi), as lo <= hi
+                row_pairs += 1
+                if gap >= k - 2:  # the merge value stays lo - 1 from here on
+                    w, step = lo - 1, n
+                else:  # the next class starts at the smallest gap t > gap with k - t even
+                    w = lo - (k - gap + 1) // 2
+                    step = bisect_left(a, lo + gap + 2 - (k - gap) % 2, j + 1)
+                if w < 0:
+                    row_negatives += 1
+                    continue
+                if n == 2:  # the singleton (w,) is cut to (0,): no other value is left
+                    w = 0
+                cap = w + k - 1
+                if bits:
+                    cut = (1 << bits * (cap if cap < last else last)) - 1
+                    child = ((rest - unit[hi]) & cut) + unit[w]
+                    assert child.bit_length() <= bits * cap
+                else:
+                    child = _child(a, i, j, w, cap)
+                    if child[0] < 0:  # a negative parent keeps its value or merges it lower
                         row_negatives += 1
                         continue
-                    if n == 2:  # the singleton (w,) is cut to (0,): no other value is left
-                        w = 0
-                    cap = w + k - 1
-                    if bits:
-                        cut = (1 << bits * (cap if cap < last else last)) - 1
-                        child = ((rest - unit[hi]) & cut) + unit[w]
-                        assert child.bit_length() <= bits * cap
-                    else:
-                        child = _child(a, i, j, w, cap)
-                        if child[0] < 0:  # a negative parent keeps its value or merges it lower
-                            row_negatives += 1
-                            continue
-                        child = int.from_bytes(unit(*child), "little")
-                    if not fused:
-                        cands.setdefault(child, row + j)
-                        continue
-                    s = slot.setdefault(child, fresh)
-                    if s == fresh:  # a new child of the level
-                        fresh += 1
-                        seen.append(p)
-                        first.append(row + j)
-                        group.append(s)
-                    elif seen[s] != p:  # first met in this parent
-                        seen[s] = p
-                        group.append(s)
+                    child = int.from_bytes(unit(*child), "little")
+                if not fused:
+                    cands.setdefault(child, row + j)
+                    continue
+                s = slot.setdefault(child, fresh)
+                if s == fresh:  # a new child of the level
+                    fresh += 1
+                    seen.append(p)
+                    first.append(row + j)
+                    group.append(s)
+                elif seen[s] != p:  # first met in this parent
+                    seen[s] = p
+                    group.append(s)
             pairs += row_pairs
             negatives += row_negatives
         if fused:

@@ -197,6 +197,23 @@ class TestGenerators:
         assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
         assert _units(127, 0, 1017)[0] == 0  # positional codes
 
+    def test_run_rows_exhaustive(self):
+        # every sorted signature of 3 to 6 values in 0..6, and each with its
+        # least value moved to -1 (negative parents, positional codes), at every
+        # k in 2..8: both parities and k = 2, with runs of equal values at the
+        # start, middle and end, each run's last row in and out of the class of
+        # its first pair
+        sigs = {values for n in range(3, 7)
+                for values in itertools.combinations_with_replacement(range(7), n)}
+        sigs |= {(-1,) + values[1:] for values in sigs}
+        for values in sorted(sigs):
+            sig = canonicalize(values)
+            for k in range(2, 9):
+                expected = per_pair_generate(k, sig, representative_pairs(k, sig), math.inf)
+                stats = SolverStats()
+                records = generate_children_fast(k, sig, math.inf, stats)
+                assert (records, stats) == expected, (k, sig)
+
     def test_early_exit_keeps_counters_and_records(self):
         # reference scan: every partner j of i, one pair per (i, omega) class
         rng = random.Random(2024)
