@@ -86,8 +86,8 @@ MUTANTS = [
     ("walk-seen-flipped", "solver.py", "elif seen[s] != p:", "elif seen[s] == p:", [FUSED_TEST]),
     ("derivation-decode-off-by-one", "solver.py", "i, j = divmod(ij, n)",
      "i, j = divmod(ij + 1, n)", [EXPAND_TEST]),
-    ("level-sort-in-assert", "solver.py", "    kept.sort(key=sum if prune",
-     "    assert not kept.sort(key=sum if prune",
+    ("level-sort-in-assert", "solver.py", "    records.sort(key=",
+     "    assert not records.sort(key=",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # count codes: the child, the lanes and the dense/tuple choice
     ("codes-hi-as-lo", "solver.py", "rest - unit[hi]", "rest - unit[lo]", [EXPAND_TEST]),
@@ -120,7 +120,7 @@ MUTANTS = [
      "some_kept.update(at)", [FUSED_TEST]),
     ("fused-unpruned", "solver.py", "fused = prune and len(parents)", "fused = len(parents)",
      [FUSED_TEST]),
-    ("fused-16bit-byte-lanes", "solver.py", "[_derivation(k, n, parents, d)[0] for d in first]",
+    ("fused-16bit-byte-lanes", "solver.py", "[_child(*_decode(k, n, parents, d)) for d in first]",
      '[c.to_bytes(2 * top, "little") for c in slot]', [CROWDED_TEST]),
     ("dominators-lowest-only", "solver.py", "return order, above",
      "return order, [up & -up for up in above]", [FUSED_TEST]),
@@ -158,9 +158,13 @@ MUTANTS = [
     ("narrow-level-unfiltered", "solver.py",
      "kept = _scan(merged, guard, check_time) if prune else list(merged)",
      "kept = list(merged)", [FUSED_TEST]),
-    # children stay plain tuples until a record is built
-    ("record-plain-tuple", "solver.py", "    child = tuple.__new__(LeafSignature, child)\n", "",
+    # children stay plain tuples until a record is built; a record's l_value
+    # is the least value inserted along its derivation
+    ("record-plain-tuple", "solver.py", "tuple.__new__(LeafSignature, _child(a, i, j, w, cap))",
+     "_child(a, i, j, w, cap)",
      [TYPE_TEST + "test_levels_and_witnesses", TYPE_TEST + "test_generator_outputs"]),
+    ("derivation-l-value", "solver.py", "a[j], w, cap, child, min(parent_l, w)",
+     "a[j], w, cap, child, parent_l", [PINNED_TEST, EXPAND_TEST]),
     # the counts each level step returns, and their sums
     ("fused-drop-as-level-wide", "solver.py", "dropped_level = len(some_kept) - len(kept)",
      "dropped_level, dominated = dominated + len(some_kept) - len(kept), 0", [FUSED_TEST]),
@@ -168,8 +172,10 @@ MUTANTS = [
      "dominated += dropped + dropped_level", "dominated += dropped + dropped_level + negative",
      [PINNED_TEST]),
     # the closed-form k = 2 level
-    ("unit-edge-provenance-last", "solver.py", "(r, r + 1, w, cap)", "(r, n - 1, w, cap)",
-     [UNIT_EDGE_TEST]),
+    ("unit-edge-provenance-last", "solver.py", "r * n + r + 1", "r * n + n - 1", [UNIT_EDGE_TEST]),
+    # _derivation's a[i] is u at k = 2, and so is a[j] but where i = n - 2
+    ("unit-edge-merged-hi", "solver.py", "MergeRecord(a, a[i], a[j], w,",
+     "MergeRecord(a, a[i], a[i], w,", [UNIT_EDGE_TEST]),
     ("unit-edge-zeros-everywhere", "solver.py", "bisect_right(a, 0, 0, n - 1)",
      "bisect_right(a, 0)", [UNIT_EDGE_TEST]),
     ("unit-edge-dominated-all", "solver.py", "len(set(a[zeros : n - 1])) - 1",

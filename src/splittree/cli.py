@@ -135,14 +135,11 @@ def _trace_json(k: int, levels) -> str:
         "levels": [
             {
                 "z": level.z,
-                "signatures": [list(s) for s in level.sorted_signatures()],
-                "arrows": [
-                    level.record_of[s]._asdict()
-                    for s in level.sorted_signatures()
-                    if s in level.record_of
-                ],
+                "signatures": [list(s) for s in sigs],
+                "arrows": [level.record_of[s]._asdict() for s in sigs if s in level.record_of],
             }
             for level in levels
+            for sigs in [level.sorted_signatures()]
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -152,23 +149,22 @@ def _trace_dot(levels) -> str:
     def node_id(z, sig):
         return "s{}_{}".format(z, "_".join(str(v) for v in sig))
 
-    lines = ["digraph levels {", "  rankdir=TB;"]
+    lines, edges = ["digraph levels {", "  rankdir=TB;"], []  # every node, then every edge
     for level in levels:
         names = []
         for sig in level.sorted_signatures():
             name = node_id(level.z, sig)
             names.append(name)
             lines.append(f'  {name} [label="{",".join(map(str, sig))}"];')
-        if names:
-            lines.append(f'  {{ rank=same; {" ".join(names)} }}')
-    for level in levels:
-        for sig in level.sorted_signatures():
             rec = level.record_of.get(sig)
             if rec is not None:
-                lines.append(
-                    f'  {node_id(level.z + 1, rec.parent)} -> {node_id(level.z, sig)}'
+                edges.append(
+                    f'  {node_id(level.z + 1, rec.parent)} -> {name}'
                     f' [label="{rec.merged_lo},{rec.merged_hi}"];'
                 )
+        if names:
+            lines.append(f'  {{ rank=same; {" ".join(names)} }}')
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,9 +6,9 @@ by a sibling candidate, and keeps one predecessor record per distinct
 signature so a witness tree can be rebuilt afterwards.  A signature is
 realizable iff a non-negative singleton survives down at length 1.  One level
 is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
-level's sorted ``(signature, l_value)`` pairs to the kept children, each
-child's first derivation and the counts ``(pairs, negatives, dominated within
-a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
+level's sorted ``(signature, l_value)`` pairs to the next level, a map from each
+survivor to its ``MergeRecord``, and the counts ``(pairs, negatives, dominated
+within a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
 walk over each parent's representative pairs, a run of equal values once, makes
 every child one integer, in the code that ``_units`` picks once per level: its
 count code, the sum of its values' lane units (at 8 bits off one shared list), or,
@@ -25,7 +25,7 @@ import struct
 import time
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count
-from operator import ne, or_
+from operator import attrgetter, ne, or_
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import InputError, LimitError
@@ -64,6 +64,9 @@ class LevelSet:
     (InputError otherwise).  ``|signatures| <= z**k`` is asserted by the
     solver when a pruned level is built; unpruned levels can exceed it.
     A level is read-only: assigning an attribute raises AttributeError.
+    ``_built`` skips that check, for the levels the search builds (their
+    ``signatures`` is ``record_of.keys()``, a read-only set view that compares
+    equal to a ``frozenset`` but is not hashable) and ``prune_level``'s output.
     """
 
     def __init__(self, z: int, signatures: frozenset[LeafSignature],
@@ -75,6 +78,13 @@ class LevelSet:
         ):
             raise InputError(f"level {z} takes only sorted signatures of length {z}")
         vars(self).update(z=z, signatures=signatures, record_of=record_of)
+
+    @classmethod
+    def _built(cls, z: int, signatures: Collection[LeafSignature],
+               record_of: dict[LeafSignature, MergeRecord]) -> LevelSet:
+        level = object.__new__(cls)
+        vars(level).update(z=z, signatures=signatures, record_of=record_of)
+        return level
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"LevelSet is read-only: cannot change {name!r}")
@@ -308,13 +318,6 @@ def _child(a: LeafSignature, i: int, j: int, w: int, cap: int) -> Signature:
     return a[:p] + (w,) + a[p:i] + a[i + 1 : q] + (cap,) * (n - q - 1)
 
 
-def _record(child: Signature, a: LeafSignature, parent_l: float,
-            provenance: tuple[int, int, int, int]) -> MergeRecord:
-    i, j, inserted, cap = provenance
-    child = tuple.__new__(LeafSignature, child)
-    return MergeRecord(a, a[i], a[j], inserted, cap, child, min(parent_l, inserted))
-
-
 def generate_children_naive(k: int, a: LeafSignature, parent_l: float = math.inf,
                             stats: SolverStats | None = None) -> list[MergeRecord]:
     """``generate_children_fast``'s reference, sharing no search code: ``signature._reduce``
@@ -364,13 +367,13 @@ def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
     a = canonicalize(a)
     if len(a) < 2:
         raise InputError("child generation needs a signature of length >= 2")
-    kept, built, (pairs, negatives, dominated, _) = _expand_level(
+    record_of, (pairs, negatives, dominated, _) = _expand_level(
         k, len(a) - 1, [(a, parent_l)], False, None)
     if stats is not None:
         stats.signatures_generated += pairs
         stats.pruned_negative += negatives
         stats.pruned_dominated += dominated
-    return [_record(c, *built[c]) for c in kept]
+    return list(record_of.values())
 
 
 def prune_level(level: LevelSet) -> LevelSet:
@@ -378,7 +381,7 @@ def prune_level(level: LevelSet) -> LevelSet:
     the ``_dominators`` masks at every size: a level is a whole union."""
     kept = _undominated(*_dominators(level.signatures))
     record_of = {s: level.record_of[s] for s in kept if s in level.record_of}
-    return LevelSet(level.z, frozenset(kept), record_of)
+    return LevelSet._built(level.z, frozenset(kept), record_of)
 
 
 def _validate_instance(k: int, d: Iterable[int]) -> LeafSignature:
@@ -403,7 +406,7 @@ _FUSED_MIN_PARENTS = 64
 def _expand_level(
     k: int, z: int, parents: list[tuple[LeafSignature, float]], prune: bool,
     check_time: Callable[[], None] | None,
-) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
+) -> tuple[dict[LeafSignature, MergeRecord], tuple[int, int, int, int]]:
     """``_run_levels``' step to length ``z``: every parent's children, in the
     one code that ``_units`` picks for the level, then, if ``prune``, the
     level-wide domination.  One walk visits each parent's representative pairs
@@ -424,8 +427,9 @@ def _expand_level(
     a sibling dominates it.  What a parent drops has a dominator that it keeps,
     so all children and the kept ones have the same survivors; a survivor is
     kept by every parent generating it, so its first derivation is the one of
-    the per-parent scans.  Survivors are built by ``_derivation``, by
-    descending sum, ties ascending (unpruned: by parent, then ascending).
+    the per-parent scans.  Returns the level's record map, child -> the
+    ``MergeRecord`` that ``_derivation`` builds, by descending sum, ties
+    ascending (unpruned: by parent, then ascending), and the four counts.
     """
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     n = z + 1
@@ -504,7 +508,7 @@ def _expand_level(
         kept = list(map(merged.__getitem__, kept))
     else:
         lanes = ([c.to_bytes(top, "little") for c in slot] if bits == 8
-                 else [_derivation(k, n, parents, d)[0] for d in first])
+                 else [_child(*_decode(k, n, parents, d)) for d in first])
         order, above = _dominators(lanes, check_time)
         bit = list(map(dict(zip(order, count())).__getitem__, lanes))  # slot -> bit of order
         some_kept: set[int] = set()  # bits of children a parent keeps
@@ -519,30 +523,36 @@ def _expand_level(
             some_kept.update(kept_bits)
         kept = [d for d, b in zip(first, bit) if not above[b]]
         dropped_level = len(some_kept) - len(kept)
-    built = dict(_derivation(k, n, parents, d) for d in kept)
-    kept = sorted(built)  # unpruned: by (sorted) parent, then ascending
-    kept.sort(key=sum if prune else lambda c: built[c][0], reverse=prune)
-    return kept, built, (pairs, negatives, dominated, dropped_level)
+    records = sorted((_derivation(k, n, parents, d) for d in kept), key=attrgetter("child"))
+    records.sort(key=(lambda r: sum(r.child)) if prune else attrgetter("parent"), reverse=prune)
+    return {r.child: r for r in records}, (pairs, negatives, dominated, dropped_level)
 
 
-def _derivation(k: int, n: int, parents: list[tuple[LeafSignature, float]], d: int) -> tuple:
-    """``(child, (a, parent_l, (i, j, w, cap)))`` of ``_expand_level``'s derivation
-    ``d = (p * n + i) * n + j``, a non-negative child of ``(a, parent_l) = parents[p]``."""
+def _decode(k: int, n: int, parents: list[tuple[LeafSignature, float]], d: int) -> tuple:
+    """``(a, i, j, w, cap)`` of ``_expand_level``'s derivation ``d = (p * n + i) * n + j``:
+    the pair ``(i, j)`` of ``a = parents[p][0]``, its merge value and cap."""
     p, ij = divmod(d, n * n)
     i, j = divmod(ij, n)
-    a, parent_l = parents[p]
+    a = parents[p][0]
     w = a[i] - max(1, (k - a[j] + a[i] + 1) // 2) if n > 2 else 0  # signature.omega, or (0,)
     cap = w + k - 1 if n > 2 else 0
-    child = _child(a, i, j, w, cap)
+    return a, i, j, w, cap
+
+
+def _derivation(k: int, n: int, parents: list[tuple[LeafSignature, float]], d: int) -> MergeRecord:
+    """The ``MergeRecord`` of ``_expand_level``'s derivation ``d``, a non-negative child."""
+    a, i, j, w, cap = _decode(k, n, parents, d)
+    parent_l = parents[d // (n * n)][1]
+    child = tuple.__new__(LeafSignature, _child(a, i, j, w, cap))
     assert child[-1] <= parent_l + k - 1  # with <= cap: <= l_value + k - 1
-    return child, (a, parent_l, (i, j, w, cap))
+    return MergeRecord(a, a[i], a[j], w, cap, child, min(parent_l, w))
 
 
 def _unit_edge_level(
     parents: list[tuple[LeafSignature, float]], check_time: Callable[[], None] | None
-) -> tuple[list[Signature], dict, tuple[int, int, int, int]]:
-    """``_expand_level`` for ``k = 2``: the one kept child and the counts of
-    its walk on the level's one non-negative signature ``a`` (pairs ``(i, i +
+) -> tuple[dict[LeafSignature, MergeRecord], tuple[int, int, int, int]]:
+    """``_expand_level`` for ``k = 2``: the record map of the one kept child and
+    the counts of its walk on the level's one non-negative signature ``a`` (pairs ``(i, i +
     1)``, as every gap is at least ``k - 2 = 0``), built without any sibling
     (Huffman's exchange argument).  With ``n = len(a)`` and ``u = a[n-2]``:
     - the pair ``(i, i+1)`` with ``a[i] = v`` merges to ``w = v-1``, ``cap =
@@ -551,25 +561,22 @@ def _unit_edge_level(
       exactly for ``v = 0``;
     - the child of ``u`` holds one more value ``>= v`` than the child of any
       ``v < u`` and dominates it elementwise;
-    - so only the child of ``u`` is kept, from its first pair ``i = r(u)``: a
-      ``k = 2`` level never holds more than one signature and needs no
-      level-wide filter, with or without level pruning.
+    - so only the child of ``u`` is kept, with ``_derivation``'s record of its
+      first pair ``(r(u), r(u) + 1)``: a ``k = 2`` level never holds more than
+      one signature and needs no level-wide filter, with or without pruning.
     A length-2 parent gives the singleton cut to ``(0,)``.
     """
     if check_time is not None:
         check_time()
-    ((a, parent_l),) = parents
+    ((a, _),) = parents
     n = len(a)
     u = a[n - 2]
     zeros = bisect_right(a, 0, 0, n - 1)
     if u < 1:
-        return [], {}, (n - 1, zeros, 0, 0)
+        return {}, (n - 1, zeros, 0, 0)
     r = bisect_left(a, u)
-    w, cap = (u - 1, u) if n > 2 else (0, 0)
-    child = a[:r] + (w,) + (u,) * (n - r - 2)
-    assert child[-1] <= min(parent_l, w) + 1
-    merged = {child: (a, parent_l, (r, r + 1, w, cap))}
-    return [child], merged, (n - 1, zeros, len(set(a[zeros : n - 1])) - 1, 0)
+    record = _derivation(2, n, parents, r * n + r + 1)
+    return {record.child: record}, (n - 1, zeros, len(set(a[zeros : n - 1])) - 1, 0)
 
 
 def _run_levels(
@@ -591,25 +598,21 @@ def _run_levels(
     parents = [(first, math.inf)]
     generated = negatives = dominated = 0
     for z in range(len(sig) - 1, 0, -1):
-        kept, merged, (pairs, negative, dropped, dropped_level) = (
+        record_of, (pairs, negative, dropped, dropped_level) = (
             _unit_edge_level(parents, check_time) if k == 2
             else _expand_level(k, z, parents, prune, check_time))
         generated += pairs
         negatives += negative
         dominated += dropped + dropped_level
-        size = len(kept) + dropped_level
+        size = len(record_of) + dropped_level
         # z >= 2 and size < 2**k imply size < z**k without building the bignum
         assert not prune or (z >= 2 and k >= size.bit_length()) or size <= z**k
-        if config.max_level_size is not None and len(kept) > config.max_level_size:
+        if config.max_level_size is not None and len(record_of) > config.max_level_size:
             raise LimitError(
-                f"level {z} holds {len(kept)} signatures, over the "
+                f"level {z} holds {len(record_of)} signatures, over the "
                 f"limit of {config.max_level_size}"
             )
-        record_of = {}  # a loop, not a comprehension: small instances pay its setup per level
-        for c in kept:
-            record = _record(c, *merged[c])
-            record_of[record.child] = record
-        levels.append(LevelSet(z, frozenset(record_of), record_of))
+        levels.append(LevelSet._built(z, record_of.keys(), record_of))
         if not record_of:
             break
         parents = [(c, record_of[c].l_value) for c in sorted(record_of)]

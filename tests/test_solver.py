@@ -26,7 +26,6 @@ from splittree.solver import (
     _FUSED_MIN_PARENTS,
     _dominators,
     _expand_level,
-    _record,
     _scan,
     _undominated,
     _unit_edge_level,
@@ -492,15 +491,14 @@ class TestFusedLevels:
     @staticmethod
     def steps(k, levels):
         """``_expand_level`` from every level that has a next one, pruned: the
-        kept children, their derivations and the four counts.  (The fused
-        step's map holds every child, the scan's only each parent's kept
-        ones; a kept child has the same first derivation in both.)"""
+        record map's items, a list so that the level order counts, and the
+        four counts."""
         steps = []
         for level in levels[:-1]:
             parents = [(a, level.record_of[a].l_value if level.record_of else math.inf)
                        for a in level.sorted_signatures()]
-            kept, merged, counts = _expand_level(k, level.z - 1, parents, True, None)
-            steps.append((kept, {c: merged[c] for c in kept}, counts))
+            record_of, counts = _expand_level(k, level.z - 1, parents, True, None)
+            steps.append((list(record_of.items()), counts))
         return steps
 
     @classmethod
@@ -568,8 +566,8 @@ class TestFusedLevels:
         results = []
         for width in (0, 10**9):  # masks, scans
             monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
-            kept, merged, counts = _expand_level(k, n - 1, parents, True, None)
-            results.append((kept, {c: merged[c] for c in kept}, counts))
+            record_of, counts = _expand_level(k, n - 1, parents, True, None)
+            results.append((list(record_of.items()), counts))
         assert results[0] == results[1]
 
 
@@ -610,6 +608,30 @@ class TestSignatureType:
                 realizable += bool(decision.witness_chain)
         assert realizable >= 10
 
+    @pytest.mark.parametrize("width", [0, 10**9])  # masks everywhere, scans everywhere
+    def test_search_levels_hold_what_the_check_guarded(self, monkeypatch, width):
+        # the search builds its levels without the public constructor's check:
+        # every level after the input is its record map's keys, each a sorted
+        # LeafSignature of int values of the level's length, and read-only
+        monkeypatch.setattr("splittree.solver._FUSED_MIN_PARENTS", width)
+        levels = 0
+        for k, depths in self.instances():
+            for prune in (True, False) if k == 2 or len(depths) < 10 else (True,):
+                config = SolverConfig(prune_level_domination=prune)
+                for level in trace_levels(k, depths, config)[1:]:
+                    assert level.signatures == level.record_of.keys()
+                    for sig in level.record_of:
+                        assert type(sig) is LeafSignature and len(sig) == level.z, sig
+                        assert list(sig) == sorted(sig), sig
+                        assert all(type(v) is int for v in sig), sig
+                    for name in ("z", "signatures", "record_of"):
+                        with pytest.raises(AttributeError):
+                            setattr(level, name, None)
+                        with pytest.raises(AttributeError):
+                            delattr(level, name)
+                    levels += 1
+        assert levels > 100
+
     def test_generator_outputs(self):
         rng = random.Random(47)
         for _ in range(60):
@@ -644,9 +666,9 @@ class TestUnitEdgeLevels:
                 assert generate_children_fast(2, a, parent_l, fast_stats) == expected, values
                 assert fast_stats == stats, values
                 step = _unit_edge_level([(a, parent_l)], None)
-                kept, merged, counts = step
-                assert len(kept) + counts[3] == len(kept) == len(expected), values
-                assert [_record(c, *merged[c]) for c in kept] == expected, (values, parent_l)
+                record_of, counts = step
+                assert len(record_of) + counts[3] == len(record_of) == len(expected), values
+                assert list(record_of.values()) == expected, (values, parent_l)
                 assert counts == (len(pairs), stats.pruned_negative, stats.pruned_dominated, 0), (
                     values, parent_l)
                 for prune in (True, False):
