@@ -91,12 +91,19 @@ MUTANTS = [
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # count codes: the child, the lanes and the dense/tuple choice
     ("codes-hi-as-lo", "solver.py", "rest - unit[hi]", "rest - unit[lo]", [EXPAND_TEST]),
-    ("codes-no-cap-cut", "solver.py", "((rest - unit[hi]) & cut)", "(rest - unit[hi])",
-     [EXPAND_TEST]),
+    ("codes-no-cap-cut", "solver.py", "((rest - unit[hi]) & cut[cap if cap < last else last])",
+     "(rest - unit[hi])", [EXPAND_TEST]),
     ("codes-guard-one-bit-down", "solver.py", "unit[top] << bits - 1",
      "unit[top] << bits - 2", [EXPAND_TEST, CROWDED_TEST]),
     ("codes-units-one-short", "solver.py", "while len(_UNIT_8) <= top:",
      "while len(_UNIT_8) < top:", [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
+    # the cap cuts: each entry of the shared 8-bit list one lane short, and the
+    # wider lanes' cut memo dividing like the unit memo
+    ("cut-list-one-lane-short", "solver.py", "_CUT_8.append((1 << 8 * len(_CUT_8)) - 1)",
+     "_CUT_8.append((1 << 8 * len(_CUT_8)) - 1 >> 8)",
+     [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
+    ("cut-memo-unit-divisor", "solver.py", "_Memo(bits, 1)", "_Memo(bits, (1 << bits) - 1)",
+     [SOLVER + "TestGenerators::test_16bit_memos_hold_units_and_cuts"]),
     ("codes-lanes-widen-late", "solver.py", "n.bit_length() // 8", "(n - 1).bit_length() // 8",
      [SOLVER + "TestGenerators::test_shared_8bit_units_stay_bounded"]),
     ("codes-sum-one-short", "solver.py", "sum(map(unit.__getitem__, a))",
@@ -114,16 +121,19 @@ MUTANTS = [
     ("positional-byte-lanes", "solver.py", "if bits == 8", "if bits != 16",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # per-parent domination read off the level-wide masks
-    ("fused-no-sibling-mask", "solver.py", "if not above[b] & mask]", "if not above[b]]",
+    ("fused-no-sibling-mask", "solver.py", "if not above[s] & mask]", "if not above[s]]",
      [FUSED_TEST]),
-    ("fused-size-all-children", "solver.py", "some_kept.update(kept_bits)",
-     "some_kept.update(at)", [FUSED_TEST]),
+    ("fused-size-all-children", "solver.py", "some_kept.update(kept_slots)",
+     "some_kept.update(group)", [FUSED_TEST]),
     ("fused-unpruned", "solver.py", "fused = prune and len(parents)", "fused = len(parents)",
      [FUSED_TEST]),
     ("fused-16bit-byte-lanes", "solver.py", "[_child(*_decode(k, n, parents, d)) for d in first]",
      '[c.to_bytes(2 * top, "little") for c in slot]', [CROWDED_TEST]),
-    ("dominators-lowest-only", "solver.py", "return order, above",
-     "return order, [up & -up for up in above]", [FUSED_TEST]),
+    # above is indexed like the input: every dominator's bit, never its own
+    ("dominators-lowest-only", "solver.py", "return [up ^ 1 << s for s, up in enumerate(above)]",
+     "return [(up ^ 1 << s) & -(up ^ 1 << s) for s, up in enumerate(above)]", [FUSED_TEST]),
+    ("dominators-own-bit-kept", "solver.py", "return [up ^ 1 << s for s, up in enumerate(above)]",
+     "return above", [FUSED_TEST, LEVEL_TEST]),
     # the AND runs lane by lane, only where a value differs from the lane before
     ("dominators-pick-equal", "solver.py", "map(ne, lane, previous)",
      "map(int.__eq__, lane, previous)", [LEVEL_TEST]),
@@ -151,8 +161,8 @@ MUTANTS = [
      [LEVEL_TEST]),
     ("masks-matrix-stride", "solver.py", "matrix[t::width]", "matrix[t::width + 1]",
      [LEVEL_TEST]),
-    ("undominated-unsorted", "solver.py", "kept = sorted(c for c, up in zip(order, above)",
-     "kept = list(c for c, up in zip(order, above)",
+    ("undominated-unsorted", "solver.py", "kept = sorted(c for c, up in zip(sigs, above)",
+     "kept = list(c for c, up in zip(sigs, above)",
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),
     # the scan as the level-wide pass of a level too narrow to fuse
     ("narrow-level-unfiltered", "solver.py",

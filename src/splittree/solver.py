@@ -11,11 +11,12 @@ survivor to its ``MergeRecord``, and the counts ``(pairs, negatives, dominated
 within a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
 walk over each parent's representative pairs, a run of equal values once, makes
 every child one integer, in the code that ``_units`` picks once per level: its
-count code, the sum of its values' lane units (at 8 bits off one shared list), or,
-where a value is negative or ``M * bits > 64 * n``, its positional code, value
-``i`` in lane ``i``.  Only survivors are built as tuples.  A pass over a whole
-level's union reads ``_dominators``' masks, one mask step per lane of tuples or
-8-bit codes' bytes, ANDed where a value changes; every other pass scans.
+count code, the sum of its values' lane units, cut to its cap by a looked-up mask
+(at 8 bits both off shared lists), or, where a value is negative or ``M * bits > 64
+* n``, its positional code, value ``i`` in lane ``i``.  Only survivors are built as
+tuples.  A pass over a whole level's union reads ``_dominators``' masks, indexed
+like its input (a fused level's slots), one mask step per lane of tuples or 8-bit
+codes' bytes, ANDed where a value changes; every other pass scans.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count
 from operator import attrgetter, ne, or_
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, LimitError
 from .signature import (
@@ -154,21 +155,23 @@ class SolverConfig:
 Signature = tuple[int, ...]
 
 
-def _units(n: int, low: int, top: int) -> tuple[int, list[int] | _Memo | Callable, int]:
-    """``(bits, unit, guard)`` for the codes of the children of a signature of ``n``
+def _units(n: int, low: int, top: int) -> tuple[
+        int, list[int] | _Memo | Callable, list[int] | _Memo | None, int]:
+    """``(bits, unit, cut, guard)`` for the codes of the children of a signature of ``n``
     values in ``[low, top]``; ``guard`` holds the top bit of each lane.
 
     Count codes where ``low >= 0`` and ``top * bits <= 64 * n`` (a code over at most
     ``n`` words): lane ``t >= 1``, ``bits`` wide from bit ``bits * (t - 1)``, holds how
     many values are ``>= t``; ``unit[v]`` holds 1 in lanes ``1..v``, so a code is the
-    sum of its values' units.  ``bits`` is the least multiple of 8 above ``n``'s bit
-    length: 8 below 128 values, 16 below 32,768, 24 below 2**23.  ``unit`` is one shared
-    list at 8 bits, else a ``_Memo``.
+    sum of its values' units, and ``cut[c] = (1 << bits * c) - 1`` keeps lanes ``1..c``.
+    ``bits`` is the least multiple of 8 above ``n``'s bit length: 8 below 128 values, 16
+    below 32,768, 24 below 2**23.  ``unit`` and ``cut`` are two shared lists at 8 bits,
+    else two ``_Memo``s.
 
-    Positional codes elsewhere, with ``bits = 0``: value ``i`` of a child sits in lane
-    ``i``, and ``unit(*child)`` gives the code's bytes.  A lane is the least of 1, 2, 4
-    or 8 bytes whose top bit lies above ``top``, packed by one ``struct`` call; past
-    2**63, the least size that holds ``top`` below its top bit."""
+    Positional codes elsewhere, with ``bits = 0`` and ``cut = None``: value ``i`` of a
+    child sits in lane ``i``, and ``unit(*child)`` gives the code's bytes.  A lane is the
+    least of 1, 2, 4 or 8 bytes whose top bit lies above ``top``, packed by one ``struct``
+    call; past 2**63, the least size that holds ``top`` below its top bit."""
     bits = 8 * (n.bit_length() // 8 + 1)
     if low < 0 or top * bits > 64 * n:
         size = next(s for s in (1, 2, 4, 8, top.bit_length() // 8 + 1) if top.bit_length() < 8 * s)
@@ -177,29 +180,32 @@ def _units(n: int, low: int, top: int) -> tuple[int, list[int] | _Memo | Callabl
         else:
             def pack(*child: int) -> bytes:
                 return b"".join(v.to_bytes(size, "little") for v in child)
-        return 0, pack, int.from_bytes((bytes(size - 1) + b"\x80") * (n - 1), "little")
+        return 0, pack, None, int.from_bytes((bytes(size - 1) + b"\x80") * (n - 1), "little")
     if bits > 8:
-        unit = _Memo(bits)
+        unit, cut = _Memo(bits, (1 << bits) - 1), _Memo(bits, 1)
     else:
         while len(_UNIT_8) <= top:  # one list serves all 8-bit codes, grown to the largest top
             assert len(_UNIT_8) <= 8 * 127  # top <= 64 * n / 8 for n <= 127: at most 1,017 units
             _UNIT_8.append(((1 << 8 * len(_UNIT_8)) - 1) // 255)
-        unit = _UNIT_8
-    return bits, unit, unit[top] << bits - 1
+            _CUT_8.append((1 << 8 * len(_CUT_8)) - 1)
+        unit, cut = _UNIT_8, _CUT_8
+    return bits, unit, cut, unit[top] << bits - 1
 
 
 _UNIT_8: list[int] = []  # values up to 8 * 127 = 1016: 1,017 units, about 0.5 MB
+_CUT_8: list[int] = []  # as long: 1,017 cuts, about 0.5 MB too
 
 
 class _Memo(dict):
-    """``unit[v]`` of count codes of ``bits``-bit lanes, built on first use (values that occur)."""
+    """``((1 << bits * v) - 1) // divisor`` of the values ``v`` that occur, on first use:
+    count codes' ``unit`` (divisor ``(1 << bits) - 1``) or ``cut`` (1) of ``bits``-bit lanes."""
 
-    def __init__(self, bits: int) -> None:
-        self.bits = bits
+    def __init__(self, bits: int, divisor: int) -> None:
+        self.bits, self.divisor = bits, divisor
 
     def __missing__(self, v: int) -> int:
-        unit = self[v] = ((1 << self.bits * v) - 1) // ((1 << self.bits) - 1)
-        return unit
+        memo = self[v] = ((1 << self.bits * v) - 1) // self.divisor
+        return memo
 
 
 def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | None = None):
@@ -220,7 +226,7 @@ def _scan(codes: Iterable[int], guard: int, check_time: Callable[[], None] | Non
 
 
 def _ge_masks(lane: bytes | tuple[int, ...], values: list[int]) -> dict[int, int]:
-    """``{v: mask}`` for one lane of ``_dominators``' order, ``values`` its
+    """``{v: mask}`` for one lane of ``_dominators``' input, ``values`` its
     distinct values ascending: bit ``b`` of ``v``'s mask is set iff ``lane[b] >= v``.
 
     The one mask step codes the lane as one byte per signature, last bit first, as
@@ -245,32 +251,31 @@ def _ge_masks(lane: bytes | tuple[int, ...], values: list[int]) -> dict[int, int
 
 
 def _dominators(
-    sigs: Collection[Signature], check_time: Callable[[], None] | None = None
-) -> tuple[list[Signature], list[int]]:
-    """``(order, above)`` for distinct signatures of one length, for calls
-    that see a whole level's union of children (the scan serves all others):
-    ``order`` holds them by descending sum, ties in input order, and bit
-    ``b'`` of ``above[b]`` is set iff ``order[b']`` dominates ``order[b]``.
-    One ``check_time`` call per varying lane.
+    sigs: Sequence[Signature | bytes], check_time: Callable[[], None] | None = None
+) -> list[int]:
+    """``above`` for distinct signatures of one length, for calls that see a
+    whole level's union of children (the scan serves all others), indexed like
+    ``sigs``: bit ``s'`` of ``above[s]`` is set iff ``sigs[s']`` dominates
+    ``sigs[s]``.  One ``check_time`` call per varying lane.
 
     Per varying lane, ``_ge_masks`` gives the mask of the signatures whose
-    value there is ``>= v``.  The AND of these masks at ``c``'s values holds
-    ``c`` and its dominators, whose strictly larger sums give lower bits, so
-    ``above[b]`` is that AND below bit ``b``.  Lanes of one value throughout
-    are skipped.  The AND runs lane by lane, only for the signatures whose value
-    differs from the adjacent lane visited before it (skipped or not), where that
-    lane's test does not imply this one's; the first tuple lane takes every one.
-    Tuple lanes come from ``zip``, each value at most the next; 8-bit count codes'
-    bytes are joined once, in ``order``, and lane ``t`` is the strided slice of
-    that matrix, visited top lane first, each count at least the one above it:
-    the top lane starts below an all-zero lane, as a count of 0 passes every mask.
+    value there is ``>= v``.  The AND of these masks at ``c``'s values, from
+    one shared all-ones start, holds ``c`` and its dominators, so ``above[s]``
+    is that AND with its own bit cleared once at the end.  Lanes of one value
+    throughout are skipped.  The AND runs lane by lane, only for the signatures
+    whose value differs from the adjacent lane visited before it (skipped or not),
+    where that lane's test does not imply this one's; the first tuple lane takes
+    every one.  Tuple lanes come from ``zip``, each value at most the next; 8-bit
+    count codes' bytes are joined once, in input order, and lane ``t`` is the
+    strided slice of that matrix, visited top lane first, each count at least the
+    one above it: the top lane starts below an all-zero lane, as a count of 0
+    passes every mask.
     """
-    order = sorted(sigs, key=sum, reverse=True)
-    n = len(order)
-    above = [(1 << b) - 1 for b in range(n)]
-    lanes, previous = zip(*order), None  # previous: the lane visited before, constant or not
-    if order and isinstance(order[0], bytes):  # lane t: a strided slice of one matrix
-        width, matrix = len(order[0]), b"".join(order)  # previous: an int, first the 0s on top
+    n = len(sigs)
+    above = [(1 << n) - 1] * n
+    lanes, previous = zip(*sigs), None  # previous: the lane visited before, constant or not
+    if sigs and isinstance(sigs[0], bytes):  # lane t: a strided slice of one matrix
+        width, matrix = len(sigs[0]), b"".join(sigs)  # previous: an int, first the 0s on top
         lanes, previous = (matrix[t::width] for t in reversed(range(width))), 0
     for lane in lanes:
         values = sorted(set(lane))
@@ -288,13 +293,13 @@ def _dominators(
             for b in changed:
                 above[b] &= ge[lane[b]]
         previous = current
-    return order, above
+    return [up ^ 1 << s for s, up in enumerate(above)]  # a signature passes its own masks
 
 
-def _undominated(order: list[Signature], above: list[int]) -> list[Signature]:
-    """The undominated signatures of ``_dominators``' ``(order, above)``, by
-    descending sum, ties ascending."""
-    kept = sorted(c for c, up in zip(order, above) if not up)
+def _undominated(sigs: Iterable[Signature], above: list[int]) -> list[Signature]:
+    """The undominated ones of the signatures that ``_dominators`` gave ``above``,
+    by descending sum, ties ascending."""
+    kept = sorted(c for c, up in zip(sigs, above) if not up)
     return sorted(kept, key=sum, reverse=True)  # stable: ties stay ascending
 
 
@@ -337,7 +342,7 @@ def generate_children_naive(k: int, a: LeafSignature, parent_l: float = math.inf
             elif child not in cands:
                 l_value = min(parent_l, inserted)
                 cands[child] = MergeRecord(a, a[i], a[j], inserted, cap, child, l_value)
-    kept = _undominated(*_dominators(cands))
+    kept = _undominated(cands, _dominators(list(cands)))
     if stats is not None:
         stats.signatures_generated += n * (n - 1) // 2
         stats.pruned_negative += negatives
@@ -379,7 +384,8 @@ def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
 def prune_level(level: LevelSet) -> LevelSet:
     """Drop signatures dominated by another signature in the same level, by
     the ``_dominators`` masks at every size: a level is a whole union."""
-    kept = _undominated(*_dominators(level.signatures))
+    sigs = list(level.signatures)
+    kept = _undominated(sigs, _dominators(sigs))
     record_of = {s: level.record_of[s] for s in kept if s in level.record_of}
     return LevelSet._built(level.z, frozenset(kept), record_of)
 
@@ -414,14 +420,14 @@ def _expand_level(
     merge class.  A later row of a run of equal values derives its counts from row
     ``i - 1``'s and walks at most ``(i, i + 1)``, the one pair that can be new.  Each
     child's first derivation is the int ``(p * n + i) * n + j`` of its pair in
-    ``parents[p]``.  A count code is ``((code - unit[lo] - unit[hi]) & (1 << bits *
-    min(cap, a[-1])) - 1) + unit[w]``, ``code - unit[lo]`` once per row (the cut
-    clears the lanes past ``cap``); a positional code packs the non-negative ``_child``.
+    ``parents[p]``.  A count code is ``((code - unit[lo] - unit[hi]) & cut[min(cap,
+    a[-1])]) + unit[w]``, ``code - unit[lo]`` once per row (the cut clears the lanes
+    past ``cap``); a positional code packs the non-negative ``_child``.
 
     From ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both
     dominations off one ``_dominators`` pass over all children (8-bit count
-    codes' bytes, as one byte matrix, else tuples), each in the level's slot
-    table and listed once in its parent's group.  Narrower levels scan each
+    codes' bytes, as one byte matrix, else tuples) in the order of the level's
+    slot table, each listed once in its parent's group.  Narrower levels scan each
     parent's children, then the union of the kept ones, each with its first
     keeping parent's derivation.  A child is dominated within its parent iff
     a sibling dominates it.  What a parent drops has a dominator that it keeps,
@@ -434,7 +440,7 @@ def _expand_level(
     fused = prune and len(parents) >= _FUSED_MIN_PARENTS
     n = z + 1
     top = max(a[-1] for a, _ in parents)
-    bits, unit, guard = _units(n, min(a[0] for a, _ in parents), top)
+    bits, unit, cut, guard = _units(n, min(a[0] for a, _ in parents), top)
     merged, slot = {}, {}  # child code -> first keeping derivation (scanned), -> slot (fused)
     first, seen, groups = [], [], []  # fused: per slot, per slot, per parent
     pairs = negatives = dominated = fresh = 0  # fresh: the next slot
@@ -471,8 +477,7 @@ def _expand_level(
                     w = 0
                 cap = w + k - 1
                 if bits:
-                    cut = (1 << bits * (cap if cap < last else last)) - 1
-                    child = ((rest - unit[hi]) & cut) + unit[w]
+                    child = ((rest - unit[hi]) & cut[cap if cap < last else last]) + unit[w]
                     assert child.bit_length() <= bits * cap
                 else:
                     child = _child(a, i, j, w, cap)
@@ -509,19 +514,17 @@ def _expand_level(
     else:
         lanes = ([c.to_bytes(top, "little") for c in slot] if bits == 8
                  else [_child(*_decode(k, n, parents, d)) for d in first])
-        order, above = _dominators(lanes, check_time)
-        bit = list(map(dict(zip(order, count())).__getitem__, lanes))  # slot -> bit of order
-        some_kept: set[int] = set()  # bits of children a parent keeps
+        above = _dominators(lanes, check_time)  # indexed by slot
+        some_kept: set[int] = set()  # slots of children a parent keeps
         for group in groups:
             if check_time is not None:
                 check_time()
-            at = list(map(bit.__getitem__, group))
-            mask = sum(map((1).__lshift__, at))
-            kept_bits = [b for b in at if not above[b] & mask]
-            assert len(kept_bits) <= k * z
-            dominated += len(at) - len(kept_bits)
-            some_kept.update(kept_bits)
-        kept = [d for d, b in zip(first, bit) if not above[b]]
+            mask = sum(map((1).__lshift__, group))
+            kept_slots = [s for s in group if not above[s] & mask]
+            assert len(kept_slots) <= k * z
+            dominated += len(group) - len(kept_slots)
+            some_kept.update(kept_slots)
+        kept = [d for d, up in zip(first, above) if not up]
         dropped_level = len(some_kept) - len(kept)
     records = sorted((_derivation(k, n, parents, d) for d in kept), key=attrgetter("child"))
     records.sort(key=(lambda r: sum(r.child)) if prune else attrgetter("parent"), reverse=prune)

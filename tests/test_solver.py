@@ -73,7 +73,7 @@ def per_pair_generate(k, sig, pairs, parent_l):
             continue
         l_value = min(parent_l, inserted)
         cands.setdefault(child, MergeRecord(sig, sig[i], sig[j], inserted, cap, child, l_value))
-    kept = _undominated(*_dominators(cands))
+    kept = _undominated(cands, _dominators(list(cands)))
     stats.pruned_dominated = len(cands) - len(kept)
     return [cands[c] for c in sorted(kept)], stats
 
@@ -186,15 +186,33 @@ class TestGenerators:
         # k = 10 make the levels blow up)
         recs = generate_children_fast(10, canonicalize([1016] * 127))
         assert [r.child for r in recs] == [(1011,) + (1016,) * 125]
-        bits, unit, _ = _units(127, 0, 1016)
-        assert bits == 8 and unit is _units(2, 0, 0)[1]
+        bits, unit, cut, _ = _units(127, 0, 1016)
+        assert bits == 8 and unit is _units(2, 0, 0)[1] and cut is _units(2, 0, 0)[2]
         # a parent of 128 values counts up to 128 in a lane, past 8-bit codes
         # whatever its top: up to 1,024 it takes positional codes
         assert [r.child for r in generate_children_fast(10, canonicalize([1024] * 128))] == [
             (1019,) + (1024,) * 126]
-        assert len(unit) == 1017  # of the 1,024 that values below 1024 could take
+        assert len(unit) == len(cut) == 1017  # of the 1,024 that values below 1024 could take
         assert all(u == ((1 << 8 * v) - 1) // 255 for v, u in enumerate(unit))
-        assert _units(127, 0, 1017)[0] == 0  # positional codes
+        assert all(c == (1 << 8 * v) - 1 for v, c in enumerate(cut))  # keeps lanes 1..v
+        bits, _, cut, _ = _units(127, 0, 1017)
+        assert (bits, cut) == (0, None)  # positional codes, cut by _child
+
+    def test_16bit_memos_hold_units_and_cuts(self):
+        # 16-bit codes build their units and cuts per level, only for the
+        # values that are looked up; both give the same children as the
+        # reference on a parent of 200 values
+        bits, unit, cut, guard = _units(200, 0, 300)
+        assert bits == 16 and guard == unit[300] << 15
+        for v in (0, 1, 2, 7, 255, 256, 300):
+            assert unit[v] == ((1 << 16 * v) - 1) // 65535, v
+            assert cut[v] == (1 << 16 * v) - 1, v
+        assert sorted(cut) == [0, 1, 2, 7, 255, 256, 300]
+        rng = random.Random(43)
+        for k in (3, 4, 7):
+            sig = canonicalize(rng.randint(0, 300) for _ in range(200))
+            assert _units(len(sig), sig[0], sig[-1])[0] == 16
+            assert generate_children_fast(k, sig) == generate_children_naive(k, sig), k
 
     def test_run_rows_exhaustive(self):
         # every sorted signature of 3 to 6 values in 0..6, and each with its
@@ -323,7 +341,7 @@ class TestDominatedFilter:
         in the code that ``_units`` picks for that level (count or positional),
         through ``_scan``: the kept signatures, sum-descending."""
         top = max(s[-1] for s in sigs)
-        bits, unit, guard = _units(len(sigs[0]) + 1, 0, top)
+        bits, unit, _, guard = _units(len(sigs[0]) + 1, 0, top)
         if bits:
             sig_of = {sum(map(unit.__getitem__, s)): s for s in sigs}
         else:
@@ -415,11 +433,11 @@ class TestDominators:
                               for _ in range(size)})
 
     @staticmethod
-    def brute_above(order):
-        """``above`` from the definition: bit ``b'`` of ``above[b]`` is set iff
-        ``order[b']`` dominates ``order[b]``."""
-        return [sum(1 << i for i, o in enumerate(order)
-                    if o != c and all(x <= y for x, y in zip(c, o))) for c in order]
+    def brute_above(sigs):
+        """``above`` from the definition: bit ``s'`` of ``above[s]`` is set iff
+        ``sigs[s']`` dominates ``sigs[s]``."""
+        return [sum(1 << i for i, o in enumerate(sigs)
+                    if o != c and all(x <= y for x, y in zip(c, o))) for c in sigs]
 
     @staticmethod
     def count_coded(sigs):
@@ -431,7 +449,7 @@ class TestDominators:
         if min(s[0] for s in sigs) < 0:
             return None
         top = max(s[-1] for s in sigs)
-        bits, unit, _ = _units(len(sigs[0]) + 1, 0, top)
+        bits, unit, _, _ = _units(len(sigs[0]) + 1, 0, top)
         if bits != 8:
             return None
         return [sum(map(unit.__getitem__, s)).to_bytes(top, "little") for s in sigs]
@@ -440,32 +458,37 @@ class TestDominators:
         sets = itertools.chain(TestDominatedFilter.seeded_sets(), self.constant_lane_sets(),
                                TestDominatedFilter.word_limit_sets(), self.wide_lane_sets(),
                                self.crowded_lane_sets(), self.run_sets())
+        rng = random.Random(37)
         byte_sets = brute_sets = 0
         for sigs in sets:
             # each set as value tuples and, where they fit, as 8-bit count codes'
-            # bytes in the same order: both lane kinds give the same masks
+            # bytes, in three orders: reversed (sums and ties reach the masks
+            # descending) and two shuffles.  above is indexed like the input, the
+            # same for both lane kinds
             codes = self.count_coded(sigs)
-            results = []
-            for lanes in (sigs, codes) if codes is not None else (sigs,):
-                sig_of = dict(zip(lanes, sigs))
-                calls = []
-                # reversed: ties of equal sum reach the masks in descending order
-                order, above = _dominators(lanes[::-1], lambda: calls.append(None))
-                order = list(map(sig_of.__getitem__, order))
-                assert _undominated(order, above) == TestDominatedFilter.maximal(sigs), sigs
-                if len(sigs) <= 200:
-                    assert above == self.brute_above(order), sigs
-                    brute_sets += 1
-                columns = sum(len(set(lane)) > 1 for lane in zip(*lanes))
-                assert len(calls) == columns
-                results.append((order, above))
-            assert results[0] == results[-1], sigs
-            byte_sets += len(results) - 1
+            kinds = (sigs, codes) if codes is not None else (sigs,)
+            for at in [range(len(sigs) - 1, -1, -1)] + [
+                    rng.sample(range(len(sigs)), len(sigs)) for _ in range(2)]:
+                ordered = [sigs[s] for s in at]
+                results = []
+                for lanes in kinds:
+                    calls = []
+                    above = _dominators([lanes[s] for s in at], lambda: calls.append(None))
+                    assert _undominated(ordered, above) == TestDominatedFilter.maximal(sigs), sigs
+                    if len(sigs) <= 200:
+                        assert above == self.brute_above(ordered), sigs
+                    columns = sum(len(set(lane)) > 1 for lane in zip(*lanes))
+                    assert len(calls) == columns
+                    results.append(above)
+                assert results[0] == results[-1], sigs
+            brute_sets += len(kinds) if len(sigs) <= 200 else 0
+            byte_sets += len(kinds) - 1
         assert byte_sets > 200 and brute_sets > 800
         one = canonicalize([3, 5])
-        assert _dominators([]) == ([], [])
-        assert _dominators([one]) == ([one], [0])
-        assert _dominators([b"\x02\x01"]) == ([b"\x02\x01"], [0])
+        assert _dominators([]) == []
+        assert _dominators([one]) == [0]
+        assert _dominators([b"\x02\x01"]) == [0]
+        assert _dominators([(1, 2), (2, 3), (0, 5)]) == [0b010, 0, 0]
 
     def test_matches_scan_on_unpruned_levels(self):
         # prune_level reads the masks at every size; its records keep the order
