@@ -67,8 +67,17 @@ MUTANTS = [
      [EXPAND_TEST]),
     # k - 1 is equivalent: at a gap of k - 2 both branches give lo - 1
     ("omega-branch-early", "solver.py", "if gap >= k - 2:", "if gap >= k - 3:", [EXPAND_TEST]),
-    ("walk-class-parity", "solver.py", "lo + gap + 2 - (k - gap) % 2", "lo + gap + 2",
+    ("walk-class-parity", "solver.py", "bound = hi + 2 - (k - gap) % 2", "bound = hi + 2",
      [EXPAND_TEST]),
+    # on 8-bit count codes the next class starts at n less the parent's count of
+    # values >= bound, its byte bound - 1 of top + 2; other codes bisect
+    ("jump-lane-off-by-one", "solver.py", "step = n - ge[bound - 1]", "step = n - ge[bound]",
+     [EXPAND_TEST]),
+    ("jump-bytes-one-short", "solver.py", "code.to_bytes(top + 2,", "code.to_bytes(top + 1,",
+     [EXPAND_TEST]),
+    ("jump-on-16bit-codes", "solver.py", '"little") if bits == 8 else None',
+     '"little") if bits == 16 else None',
+     [SOLVER + "TestGenerators::test_16bit_memos_hold_units_and_cuts"]),
     ("walk-rest-wrong-value", "solver.py", "n, code - unit[lo] if bits",
      "n, code - unit[a[0]] if bits", [EXPAND_TEST]),
     # a later row of a run: inside it (a[i + 1] equal too) it repeats the row
@@ -118,7 +127,8 @@ MUTANTS = [
      "if top.bit_length() <= 8 * s)", [WORD_TEST]),
     ("packer-low-guard", "solver.py", 'bytes(size - 1) + b"\\x80"', 'bytes(size - 1) + b"\\x40"',
      [WORD_TEST]),
-    ("positional-byte-lanes", "solver.py", "if bits == 8", "if bits != 16",
+    ("positional-byte-lanes", "solver.py", "for c in slot] if bits == 8",
+     "for c in slot] if bits != 16",
      [SOLVER + "TestDecide::test_same_outputs_under_optimize"]),
     # per-parent domination read off the level-wide masks
     ("fused-no-sibling-mask", "solver.py", "if not above[s] & mask]", "if not above[s]]",
@@ -161,6 +171,9 @@ MUTANTS = [
      [LEVEL_TEST]),
     ("masks-matrix-stride", "solver.py", "matrix[t::width]", "matrix[t::width + 1]",
      [LEVEL_TEST]),
+    # a byte lane's values: each count up to the bottom lane's largest that it holds
+    ("lane-values-drop-largest", "solver.py", "range(max(matrix[::width]) + 1)",
+     "range(max(matrix[::width]))", [LEVEL_TEST, FUSED_TEST]),
     ("undominated-unsorted", "solver.py", "kept = sorted(c for c, up in zip(sigs, above)",
      "kept = list(c for c, up in zip(sigs, above)",
      [LEVEL_TEST, SOLVER + "TestTraceLevels::test_public_replay_matches"]),

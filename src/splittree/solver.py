@@ -9,14 +9,15 @@ is one step, ``_expand_level`` (``_unit_edge_level`` at ``k = 2``): from the
 level's sorted ``(signature, l_value)`` pairs to the next level, a map from each
 survivor to its ``MergeRecord``, and the counts ``(pairs, negatives, dominated
 within a parent, dominated level-wide)``, which ``_run_levels`` alone sums.  Its one
-walk over each parent's representative pairs, a run of equal values once, makes
-every child one integer, in the code that ``_units`` picks once per level: its
-count code, the sum of its values' lane units, cut to its cap by a looked-up mask
-(at 8 bits both off shared lists), or, where a value is negative or ``M * bits > 64
-* n``, its positional code, value ``i`` in lane ``i``.  Only survivors are built as
-tuples.  A pass over a whole level's union reads ``_dominators``' masks, indexed
-like its input (a fused level's slots), one mask step per lane of tuples or 8-bit
-codes' bytes, ANDed where a value changes; every other pass scans.
+walk over each parent's representative pairs, a run of equal values once, each merge
+class read off an 8-bit count code's byte (else by bisect), makes every child one
+integer, in the code that ``_units`` picks once per level: its count code, the sum of
+its values' lane units, cut to its cap by a looked-up mask (at 8 bits both off shared
+lists), or, where a value is negative or ``M * bits > 64 * n``, its positional code,
+value ``i`` in lane ``i``.  Only survivors are built as tuples.  A pass over a whole
+level's union reads ``_dominators``' masks, indexed like its input (a fused level's
+slots), one mask step per lane of tuples or 8-bit codes' bytes, ANDed where a value
+changes; every other pass scans.
 """
 
 from __future__ import annotations
@@ -269,16 +270,19 @@ def _dominators(
     count codes' bytes are joined once, in input order, and lane ``t`` is the
     strided slice of that matrix, visited top lane first, each count at least the
     one above it: the top lane starts below an all-zero lane, as a count of 0
-    passes every mask.
+    passes every mask.  A byte lane's values are the counts up to lane 1's largest
+    that one C ``in`` scan each finds in it; a tuple lane's, its sorted set.
     """
     n = len(sigs)
     above = [(1 << n) - 1] * n
     lanes, previous = zip(*sigs), None  # previous: the lane visited before, constant or not
+    span = None  # byte lanes: every count they can hold, up to the bottom lane's largest
     if sigs and isinstance(sigs[0], bytes):  # lane t: a strided slice of one matrix
         width, matrix = len(sigs[0]), b"".join(sigs)  # previous: an int, first the 0s on top
         lanes, previous = (matrix[t::width] for t in reversed(range(width))), 0
+        span = range(max(matrix[::width]) + 1) if width else ()
     for lane in lanes:
-        values = sorted(set(lane))
+        values = sorted(set(lane)) if span is None else [v for v in span if v in lane]
         current = int.from_bytes(lane, "big") if isinstance(lane, bytes) else lane
         if len(values) > 1:
             if check_time is not None:
@@ -362,7 +366,8 @@ def generate_children_fast(k: int, a: LeafSignature, parent_l: float = math.inf,
     others, so only that representative pair per (i, value) class is
     expanded.  The value changes only where the gap a[j] - a[i] reaches
     some t in range(k - 2, 0, -2), so the representatives are i + 1 and
-    the first partner at or past each such t, found by bisect; from a gap
+    the first partner at or past each such t: n less the parent's count of
+    values >= a[i] + t, read off its 8-bit count code (else by bisect); from a gap
     of k - 2 on the value stays a[i] - 1.  Repeats of a value pair each count
     as a pair; they give one child code, with the first one's record.  So row
     i, where a[i - 1] == a[i], has row i - 1's pairs less (i - 1, i), plus (i, i + 1)
@@ -416,13 +421,16 @@ def _expand_level(
     """``_run_levels``' step to length ``z``: every parent's children, in the
     one code that ``_units`` picks for the level, then, if ``prune``, the
     level-wide domination.  One walk visits each parent's representative pairs
-    (see ``generate_children_fast``): row ``i``, ``j`` moving by bisect to each
-    merge class.  A later row of a run of equal values derives its counts from row
-    ``i - 1``'s and walks at most ``(i, i + 1)``, the one pair that can be new.  Each
-    child's first derivation is the int ``(p * n + i) * n + j`` of its pair in
-    ``parents[p]``.  A count code is ``((code - unit[lo] - unit[hi]) & cut[min(cap,
-    a[-1])]) + unit[w]``, ``code - unit[lo]`` once per row (the cut clears the lanes
-    past ``cap``); a positional code packs the non-negative ``_child``.
+    (see ``generate_children_fast``): row ``i``, ``j`` moving to each merge class,
+    the first position holding a value ``>= bound``: at 8 bits ``n - ge[bound - 1]``,
+    ``ge`` the parent's code as ``top + 2`` bytes (byte ``b - 1`` counts its values
+    ``>= b``; ``a[j] < bound <= top + 2``), else by bisect.  A later row of a run of
+    equal values derives its counts from row ``i - 1``'s and walks at most ``(i, i +
+    1)``, the one pair that can be new.  Each child's first derivation is the int
+    ``(p * n + i) * n + j`` of its pair in ``parents[p]``.  A count code is ``((code -
+    unit[lo] - unit[hi]) & cut[min(cap, a[-1])]) + unit[w]``, ``code - unit[lo]`` once
+    per row (the cut clears the lanes past ``cap``); a positional code packs the
+    non-negative ``_child``.
 
     From ``_FUSED_MIN_PARENTS`` parents on, a pruned level reads both
     dominations off one ``_dominators`` pass over all children (8-bit count
@@ -448,6 +456,7 @@ def _expand_level(
         if check_time is not None:
             check_time()
         code, last = sum(map(unit.__getitem__, a)) if bits else 0, a[-1]
+        ge = code.to_bytes(top + 2, "little") if bits == 8 else None  # ge[b - 1]: values >= b
         cands, group = {}, []  # scanned: child code -> first derivation; fused: slots
         for i in range(n - 1):
             lo, step, row = a[i], i + 1, (p * n + i) * n
@@ -469,7 +478,8 @@ def _expand_level(
                     w, step = lo - 1, n
                 else:  # the next class starts at the smallest gap t > gap with k - t even
                     w = lo - (k - gap + 1) // 2
-                    step = bisect_left(a, lo + gap + 2 - (k - gap) % 2, j + 1)
+                    bound = hi + 2 - (k - gap) % 2
+                    step = n - ge[bound - 1] if ge else bisect_left(a, bound, j + 1)
                 if w < 0:
                     row_negatives += 1
                     continue
