@@ -29,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py::"
 TREEBUILD = "tests/test_treebuild.py::TestExport::"
+REPLAY = "tests/test_treebuild.py::TestReconstruct::"
+GROW_TEST = REPLAY + "test_grows_shallowest_leaf_of_inserted_value"
 EXPAND_TEST = SOLVER + "TestGenerators::test_early_exit_keeps_counters_and_records"
 RUN_TEST = SOLVER + "TestGenerators::test_run_rows_exhaustive"
 WORD_TEST = SOLVER + "TestDominatedFilter::test_word_lanes_match_rank_lanes"
@@ -55,6 +57,16 @@ MUTANTS = [
      [TREEBUILD + "test_json_matches_reference_on_caterpillars"]),
     ("writer-unchecked", "treebuild.py", "return int.__repr__(_integer(value, name))",
      'return __import__("json").dumps(value)', [TREEBUILD + "test_json_rejects_what_parse_rejects"]),
+    # the witness replay: leaves stay ordered by (label, id), and the
+    # shallowest leaf of the inserted value's run grows
+    ("replay-grow-by-id", "treebuild.py", 'min(run, key=attrgetter("depth", "node_id"))',
+     'min(run, key=attrgetter("node_id"))', [GROW_TEST]),
+    ("replay-run-one-leaf", "treebuild.py", "bisect_right(labels, rec.omega, start)",
+     "bisect_left(labels, rec.omega, start) + 1",
+     [REPLAY + "test_rejects_inserted_value_below_every_label", GROW_TEST]),
+    ("replay-unsorted", "treebuild.py",
+     '        leaves.sort(key=attrgetter("leaf_label", "node_id"))\n', "",
+     [REPLAY + "test_reference_instance"]),
     # the reduction step: the walk's merge value and class step, the survivors'
     # cap, solver._child's slices, and the derivation ints of _expand_level
     ("expand-keep-partner", "solver.py", "if q > j:", "if q >= j:", [EXPAND_TEST]),

@@ -2,8 +2,8 @@
 
 Subcommands: decide, build, trace, oracle, selftest.  Exit codes are part
 of the contract: 0 realizable / success, 1 unrealizable, 2 invalid input,
-3 resource limit hit, 4 I/O failure, 5 selftest disagreement or a built
-tree that fails validation.
+3 resource limit hit, 4 I/O failure, 5 selftest disagreement, a built
+tree that fails validation or a failed internal check.
 
 Stdout for identical inputs is byte-identical; the only non-deterministic
 quantity (wall time) goes to stderr.
@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except AssertionError as exc:  # a failed check must not read as "unrealizable"
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import reprlib
 import sys
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InputError, LimitError
@@ -102,11 +104,11 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
     """Build a witness tree for bounds ``d`` from a decide() witness chain.
 
     The chain is replayed in reverse: the final singleton becomes the root,
-    and each record expands the leaf carrying its inserted value into the
-    two bounds it merged.  Remaining leaves are relabeled step by step from
-    the child signature back to the parent signature (labels only grow, so
-    every leaf keeps depth <= label).  The result carries the original
-    bounds of ``d`` as leaf labels and passes ``validate``.
+    and each record expands the shallowest leaf carrying its inserted value
+    into the two bounds it merged.  The others, kept in one list ordered by
+    ``(leaf_label, node_id)``, take the parent's remaining values by position
+    (labels only grow, so every leaf keeps depth <= label).  The result
+    carries the original bounds of ``d`` as leaf labels and passes ``validate``.
     """
     sig = _validate_instance(k, d)
 
@@ -125,20 +127,20 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
             raise ValueError("witness chain records do not connect")
 
     root = TreeNode(0, 0, leaf_label=singleton[0])
-    leaves = [root]
+    leaves = [root]  # ordered by (leaf_label, node_id) from record to record
     next_id = 1
     for at, rec in reversed(list(enumerate(chain))):
-        labels = sorted(leaf.leaf_label for leaf in leaves)
+        labels = [leaf.leaf_label for leaf in leaves]
         if labels != list(rec.child):
             raise ValueError(
                 f"leaf labels {labels} out of step with chain signature {list(rec.child)}"
             )
-        grow = min(
-            (leaf for leaf in leaves if leaf.leaf_label == rec.omega),
-            key=lambda leaf: (leaf.depth, leaf.node_id), default=None,
-        )
-        if grow is None:
+        start = bisect_left(labels, rec.omega)
+        run = leaves[start:bisect_right(labels, rec.omega, start)]
+        if not run:
             raise ValueError(f"witness record {at} inserts {rec.omega}, which is on no leaf")
+        grow = min(run, key=attrgetter("depth", "node_id"))
+        del leaves[start + run.index(grow)]
         a, b = child_edge_lengths(k, grow.depth, rec.merged_lo, rec.merged_hi)
         lo = TreeNode(next_id, grow.depth + a, leaf_label=rec.merged_lo)
         hi = TreeNode(next_id + 1, grow.depth + b, leaf_label=rec.merged_hi)
@@ -146,7 +148,6 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
         grow.children = [(a, lo), (b, hi)]
         grow.leaf_label = None
 
-        rest = [leaf for leaf in leaves if leaf is not grow]
         targets = list(rec.parent)
         try:
             targets.remove(rec.merged_lo)
@@ -154,17 +155,16 @@ def reconstruct(k: int, d, chain: list[MergeRecord]) -> SplitTree:
         except ValueError:
             raise ValueError(f"witness record {at} merges {rec.merged_lo} and {rec.merged_hi}, "
                              "which are not both in its parent") from None
-        rest.sort(key=lambda leaf: (leaf.leaf_label, leaf.node_id))
-        for leaf, label in zip(rest, sorted(targets)):
+        for leaf, label in zip(leaves, sorted(targets)):
             if leaf.leaf_label > label:  # labels only grow, even under -O
                 raise ValueError(f"leaf label {leaf.leaf_label} cannot drop to {label}")
             leaf.leaf_label = label
-        leaves = rest + [lo, hi]
+        leaves += (lo, hi)
+        leaves.sort(key=attrgetter("leaf_label", "node_id"))
 
     # the chain starts from the truncated input; lift labels to the
     # caller's original bounds
-    final = sorted(leaves, key=lambda leaf: (leaf.leaf_label, leaf.node_id))
-    for leaf, label in zip(final, sig):
+    for leaf, label in zip(leaves, sig):
         if leaf.leaf_label > label:
             raise ValueError(f"leaf label {leaf.leaf_label} over its bound {label}")
         leaf.leaf_label = label
@@ -178,7 +178,8 @@ def validate(k: int, tree: SplitTree, d) -> ValidationReport:
     """Check the structural rules and that the tree realizes bounds ``d``."""
     violations: list[tuple[int, str, str]] = []
     bounds = sorted(d)
-    if not isinstance(k, int) or k < 2:
+    int_k = isinstance(k, int)  # the edge checks need an integer k
+    if not int_k or k < 2:
         violations.append((-1, "k", f"edge-length sum must be >= 2, got {k!r}"))
     if tree.root.depth != 0:
         violations.append((tree.root.node_id, "root-depth", f"root depth {tree.root.depth} != 0"))
@@ -197,10 +198,10 @@ def validate(k: int, tree: SplitTree, d) -> ValidationReport:
                 (node.node_id, "arity", f"{len(node.children)} children, expected 0 or 2")
             )
         lengths = [e for e, _ in node.children]
-        if len(node.children) == 2 and sum(lengths) != k:
+        if int_k and len(node.children) == 2 and sum(lengths) != k:
             violations.append((node.node_id, "edge-sum", f"edge lengths {lengths} do not sum to {k}"))
         for e, child in node.children:
-            if not isinstance(e, int) or not 1 <= e <= k - 1:
+            if int_k and not (isinstance(e, int) and 1 <= e <= k - 1):
                 violations.append((node.node_id, "edge-range", f"edge length {e} outside 1..{k - 1}"))
             if child.depth != node.depth + e:
                 violations.append(

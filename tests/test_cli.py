@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from splittree import oracle
+from splittree import cli, oracle
 from splittree.cli import main
 from splittree.treebuild import parse_tree, validate
 
@@ -110,6 +110,16 @@ class TestDecide:
         code, out, err = run_cli(capsys, "decide", "--file", str(path))
         assert code == 2
         assert out == "" and "input error" in err and "UTF-8" in err
+
+    def test_internal_check_exit_five(self, capsys, monkeypatch):
+        # a failed internal check must not exit 1, which reads as "unrealizable"
+        def failing_decide(*args):
+            raise AssertionError("spread bound violated")
+
+        monkeypatch.setattr(cli, "decide", failing_decide)
+        code, out, err = run_cli(capsys, "decide", "--k", "2", "--depths", "1,1")
+        assert code == 5
+        assert out == "" and err == "internal check failed: spread bound violated\n"
 
 
 class TestBuild:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -194,6 +195,15 @@ class TestValidate:
         assert not report.signature_check
         assert not report.valid
 
+    @pytest.mark.parametrize("k", ["6", None, 6.5])
+    def test_non_integer_k_is_reported(self, k):
+        # the k violation is reported; the edge checks, which need an integer
+        # k, are skipped instead of raising
+        report = validate(k, reference_tree(), REFERENCE_DEPTHS)
+        assert not report.valid
+        assert report.violations == [(-1, "k", f"edge-length sum must be >= 2, got {k!r}")]
+        assert report.leaf_depths == sorted(REFERENCE_DEPTHS) and report.signature_check
+
     def test_wrong_leaf_count(self):
         report = validate(REFERENCE_K, reference_tree(), [5, 7, 7, 8, 8, 9, 9])
         assert not report.valid
@@ -264,6 +274,28 @@ class TestReconstruct:
                     if decision.realizable:
                         tree = reconstruct(k, depths, decision.witness_chain)
                         assert validate(k, tree, depths).valid, (k, depths)
+
+    @pytest.mark.parametrize("k, depths, digest", [
+        # the first record inserts 4, which two leaves carry: node 4 at depth 4
+        # and node 5 at depth 3; the shallower grows, though its id is larger
+        (3, [3, 4, 5, 5, 6], "0de030d349843e0773f55c9449f1d383ba11419b4e4554e929096f92765ac744"),
+        # 109 bounds, given as how many take each value 0, 1, 2, ...
+        (2, [v for v, count in enumerate([0, 0, 0, 0, 1, 5, 9, 9, 11, 9, 11, 9, 8, 9, 10, 11, 5, 2])
+             for _ in range(count)],
+         "a5a616ea401a130dc3f6ed71b845899acc41bfd2965076a69866de81297aaec9"),
+    ], ids=["k3-depth-tie", "k2-109-bounds"])
+    def test_grows_shallowest_leaf_of_inserted_value(self, k, depths, digest):
+        # pins the witness tree, so that the leaf each record grows stays the
+        # shallowest carrying its inserted value (the lowest id among those)
+        tree = reconstruct(k, depths, decide(k, depths).witness_chain)
+        assert hashlib.sha256(export_tree(tree).encode()).hexdigest() == digest
+
+    def test_rejects_inserted_value_below_every_label(self):
+        # -1 sorts before the one leaf's label 0, so the run of leaves that
+        # carry it is empty though the search for it stops at that leaf
+        (rec,) = decide(2, [1, 1]).witness_chain
+        with pytest.raises(ValueError, match="^witness record 0 inserts -1, which is on no leaf$"):
+            reconstruct(2, [1, 1], [rec._replace(omega=-1)])
 
     def test_rejects_mismatched_chain(self):
         chain = decide(REFERENCE_K, REFERENCE_DEPTHS).witness_chain
